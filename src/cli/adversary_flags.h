@@ -4,7 +4,7 @@
 // other tool that wants the same knobs): builds a sim::AdversaryPlan from
 // command-line flags so every scenario can run under identical structured
 // adversities.  The group also carries the closed-loop arrival capture
-// flag, which shares the layer's serial-only restrictions.
+// flag, which shares the layer's exclusion of snapshots.
 //
 //   --adversary-abusers F      fraction of peers turned query-flood
 //                              abusers (TTL-max searches at a fixed rate)

@@ -50,12 +50,8 @@ class EventWriter {
 
 std::string u64(std::uint64_t v) { return std::to_string(v); }
 
-/// Trace lane for a record: sharded parallel runs lay records out per
-/// shard (shard field is shard + 1); serial records keep the historical
-/// per-node lanes.
-std::string tid(const Record& r) {
-  return r.shard != 0 ? u64(r.shard) : u64(r.from);
-}
+/// Trace lane for a record: one lane per originating node.
+std::string tid(const Record& r) { return u64(r.from); }
 
 }  // namespace
 

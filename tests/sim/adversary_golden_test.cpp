@@ -328,22 +328,9 @@ TEST(CaptureTrace, RoundTripReproducesOfferedAndAdmitted) {
   std::remove(path.c_str());
 }
 
-TEST(CaptureTrace, MutuallyExclusiveWithShards) {
-  gnutella::Simulation sharded(simtest::golden_gnutella_config());
-  sharded.set_shards(2);
-  EXPECT_THROW(sharded.set_capture_trace("/tmp/never-written.trace"),
-               std::invalid_argument);
-
-  gnutella::Simulation serial(simtest::golden_gnutella_config());
-  EXPECT_THROW(serial.set_capture_trace(""), std::invalid_argument);
-}
-
-TEST(AdversaryPlan, MutuallyExclusiveWithShards) {
-  gnutella::Simulation sharded(simtest::golden_gnutella_config());
-  sharded.set_shards(2);
-  sim::AdversaryPlan plan;
-  plan.free_rider_fraction = 0.5;
-  EXPECT_THROW(sharded.set_adversary(plan), std::invalid_argument);
+TEST(CaptureTrace, RejectsEmptyPath) {
+  gnutella::Simulation sim(simtest::golden_gnutella_config());
+  EXPECT_THROW(sim.set_capture_trace(""), std::invalid_argument);
 }
 
 }  // namespace

@@ -25,16 +25,8 @@
 //   --heartbeat S            emit a progress heartbeat every S sim-seconds
 //                            (changes event ordering; off by default)
 //
-// Every scenario also accepts the parallel-execution group:
-//
-//   --shards N (-j N)        run the simulation sharded over N worker
-//                            threads (1 = serial reference path; invalid
-//                            partitions exit 2)
-//   --shard-window S         conservative sync window in sim-seconds
-//                            (default: the delay-model floor)
-//
-// and the snapshot group (serial runs only; snapshots compose with every
-// other flag except --shards > 1):
+// Every scenario also accepts the snapshot group (mutually exclusive with
+// open-loop load, the adversary group and --capture-trace):
 //
 //   --save-snapshot PATH@T   run to sim-second T, write a checkpoint of the
 //                            full simulation state to PATH, continue to the
@@ -44,8 +36,7 @@
 //                            byte-identical to the uninterrupted one.  The
 //                            scenario flags must match the saving run.
 //
-// and the open-loop load group (serial runs only; mutually exclusive with
-// snapshots):
+// the open-loop load group (mutually exclusive with snapshots):
 //
 //   --open-loop              inject an external query stream on top of the
 //                            closed-loop workload, with per-peer admission
@@ -58,8 +49,8 @@
 //                            ("time_s peer item" per line) instead of the
 //                            generator
 //
-// and the adversary group (serial runs only; mutually exclusive with
-// snapshots; see cli/adversary_flags.h for the full knob list):
+// and the adversary group (mutually exclusive with snapshots; see
+// cli/adversary_flags.h for the full knob list):
 //
 //   --adversary-abusers F --adversary-abuse-rate R
 //                            query-flood abusers spraying TTL-max searches
@@ -149,19 +140,9 @@ cli::FlagRegistry make_registry() {
                   "lsh: minimum estimated Jaccard similarity in [0, 1]");
   reg.alias("strategy", "search-scheme");
 
-  reg.group("parallel execution");
-  reg.add_int("shards", 1,
-              "worker shards for one run (1 = the serial reference path, "
-              "byte-identical to no flag at all)")
-      .add_double("shard-window", 0.0,
-                  "conservative sync window in sim-seconds "
-                  "(0: the delay-model floor)");
-  reg.alias("j", "shards");
-
   reg.group("snapshot");
   reg.add_string("save-snapshot", "",
-                 "write a checkpoint at sim-second T: PATH@T "
-                 "(serial runs only)")
+                 "write a checkpoint at sim-second T: PATH@T")
       .add_string("load-snapshot", "",
                   "resume from a checkpoint written by --save-snapshot "
                   "(same scenario flags required)");
@@ -169,7 +150,7 @@ cli::FlagRegistry make_registry() {
   reg.group("open-loop load");
   reg.add_bool("open-loop", false,
                "inject an external query stream with per-peer admission "
-               "control (serial runs only)")
+               "control")
       .add_double("arrival-rate", 0.0,
                   "aggregate offered load in queries/second")
       .add_string("arrival-schedule", "constant",
@@ -221,29 +202,9 @@ std::uint32_t population(const cli::FlagRegistry& reg, const char* specific,
   return static_cast<std::uint32_t>(int_or(reg, specific, peers));
 }
 
-/// Applies --shards / --shard-window before anything is scheduled.
-/// Returns 0 on success, 2 when the partition is invalid (shards < 1 or
-/// more shards than peers).
-int apply_shards(const cli::FlagRegistry& reg, sim::OverlayEngine& engine) {
-  const std::int64_t n = reg.get_int("shards");
-  if (n < 1) {
-    std::fprintf(stderr, "error: --shards must be >= 1\n");
-    return 2;
-  }
-  try {
-    engine.set_shards(static_cast<std::uint32_t>(n),
-                      reg.get_double("shard-window"));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-  return 0;
-}
-
 /// Parses the snapshot group once and arms a freshly constructed scenario
 /// engine: a load must precede everything else (the engine rejects resuming
-/// into a used simulation), and both requests must precede set_shards so an
-/// incompatible --shards value is rejected before any thread is spawned.
+/// into a used simulation).
 struct SnapshotContext {
   std::string save_path;
   double save_at_s = 0.0;
@@ -420,8 +381,8 @@ struct TraceContext {
 };
 
 /// Parses the open-loop load group once, arms a scenario engine before
-/// run() (the engine itself rejects the incompatible combinations:
-/// --shards > 1 and either snapshot direction), and reports the
+/// run() (the engine itself rejects either snapshot direction as
+/// incompatible), and reports the
 /// admission/latency figures after.
 struct LoadContext {
   bool enabled = false;
@@ -585,7 +546,6 @@ int run_gnutella(const cli::FlagRegistry& reg, bool json) {
   snap.arm(sim);
   loadgen.arm(sim, c.sim_hours);
   adv.arm(sim, fault);
-  if (const int rc = apply_shards(reg, sim)) return rc;
   fault.arm(sim);
   trace.arm(sim);
   const auto r = sim.run();
@@ -642,7 +602,6 @@ int run_webcache(const cli::FlagRegistry& reg, bool json) {
   snap.arm(sim);
   loadgen.arm(sim, c.sim_hours);
   adv.arm(sim, fault);
-  if (const int rc = apply_shards(reg, sim)) return rc;
   fault.arm(sim);
   trace.arm(sim);
   const auto r = sim.run();
@@ -691,7 +650,6 @@ int run_olap(const cli::FlagRegistry& reg, bool json) {
   snap.arm(sim);
   loadgen.arm(sim, c.sim_hours);
   adv.arm(sim, fault);
-  if (const int rc = apply_shards(reg, sim)) return rc;
   fault.arm(sim);
   trace.arm(sim);
   const auto r = sim.run();
@@ -753,7 +711,6 @@ int run_diglib(const cli::FlagRegistry& reg, bool json) {
   snap.arm(sim);
   loadgen.arm(sim, c.sim_hours);
   adv.arm(sim, fault);
-  if (const int rc = apply_shards(reg, sim)) return rc;
   fault.arm(sim);
   trace.arm(sim);
   const auto r = sim.run();
