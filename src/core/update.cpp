@@ -13,27 +13,11 @@ bool contains(std::span<const net::NodeId> v, net::NodeId n) noexcept {
 
 }  // namespace
 
-UpdatePlan plan_update(const StatsStore& stats,
-                       std::span<const net::NodeId> current_out,
-                       std::size_t capacity, const EligibleFn& eligible) {
-  // Candidate set: known peers plus current neighbors (the latter may have
-  // no statistics yet, e.g. fresh random links).
-  struct Ranked {
-    double benefit;
-    bool is_current;
-    net::NodeId node;
-  };
-  std::vector<Ranked> ranked;
-  ranked.reserve(stats.size() + current_out.size());
-  for (const auto& [peer, b] : stats.entries()) {
-    if (!eligible(peer)) continue;
-    ranked.push_back({b, contains(current_out, peer), peer});
-  }
-  for (net::NodeId n : current_out) {
-    if (!stats.knows(n) && eligible(n)) ranked.push_back({0.0, true, n});
-  }
-
-  std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
+UpdatePlan rank_candidates(std::vector<RankedCandidate> ranked,
+                           std::span<const net::NodeId> current_out,
+                           std::size_t capacity) {
+  std::sort(ranked.begin(), ranked.end(), [](const RankedCandidate& a,
+                                             const RankedCandidate& b) {
     if (a.benefit != b.benefit) return a.benefit > b.benefit;
     if (a.is_current != b.is_current) return a.is_current;  // damp churn
     return a.node < b.node;
@@ -42,7 +26,7 @@ UpdatePlan plan_update(const StatsStore& stats,
 
   UpdatePlan plan;
   plan.new_out.reserve(ranked.size());
-  for (const Ranked& r : ranked) plan.new_out.push_back(r.node);
+  for (const RankedCandidate& r : ranked) plan.new_out.push_back(r.node);
   for (net::NodeId n : plan.new_out)
     if (!contains(current_out, n)) plan.additions.push_back(n);
   for (net::NodeId n : current_out)

@@ -1,7 +1,7 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -19,9 +19,19 @@ struct UpdatePlan {
   std::vector<net::NodeId> evictions;  ///< in current but not new_out
 };
 
-/// Predicate deciding whether a peer may become a neighbor right now
-/// (typically: is on-line and is not this node).
-using EligibleFn = std::function<bool(net::NodeId)>;
+/// One plan_update candidate: a peer and its cumulative benefit.
+struct RankedCandidate {
+  double benefit;
+  bool is_current;  ///< already in the outgoing list
+  net::NodeId node;
+};
+
+/// The ranking half of plan_update: sorts the eligible candidates
+/// (benefit, then current-first, then id), keeps the best `capacity` and
+/// diffs them against `current_out`.
+UpdatePlan rank_candidates(std::vector<RankedCandidate> ranked,
+                           std::span<const net::NodeId> current_out,
+                           std::size_t capacity);
 
 /// Computes the most-beneficial neighborhood of size <= `capacity` from the
 /// statistics (Algo 3; also the planning step of Algo 5's Reconfigure).
@@ -33,9 +43,30 @@ using EligibleFn = std::function<bool(net::NodeId)>;
 /// rather than shrinking it.
 /// Neighbor lists arrive as spans so both the reference and the compact
 /// overlay tables (and plain vectors in tests) can feed the planner.
+/// `eligible(peer)` decides whether a peer may become a neighbor right now
+/// (typically: is on-line and is not this node); it is a template
+/// parameter so the per-candidate test inlines into the filter loop.
+template <class Eligible>
 UpdatePlan plan_update(const StatsStore& stats,
                        std::span<const net::NodeId> current_out,
-                       std::size_t capacity, const EligibleFn& eligible);
+                       std::size_t capacity, Eligible&& eligible) {
+  const auto is_current = [current_out](net::NodeId n) {
+    return std::find(current_out.begin(), current_out.end(), n) !=
+           current_out.end();
+  };
+  // Candidate set: known peers plus current neighbors (the latter may have
+  // no statistics yet, e.g. fresh random links).
+  std::vector<RankedCandidate> ranked;
+  ranked.reserve(stats.size() + current_out.size());
+  for (const auto& [peer, b] : stats.entries()) {
+    if (!eligible(peer)) continue;
+    ranked.push_back({b, is_current(peer), peer});
+  }
+  for (net::NodeId n : current_out) {
+    if (!stats.knows(n) && eligible(n)) ranked.push_back({0.0, true, n});
+  }
+  return rank_candidates(std::move(ranked), current_out, capacity);
+}
 
 /// How an invited node reacts to a neighboring invitation (§3.4's two
 /// symmetric-update variants).

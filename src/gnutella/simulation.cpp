@@ -50,6 +50,7 @@ Simulation::Simulation(const Config& config)
       library_gen_(catalog_, config.library),
       query_gen_(catalog_),
       session_(config.session),
+      libraries_(catalog_),
       hit_stamps_(config.num_users),
       benefit_fn_(make_benefit(config.benefit)) {
   des::Rng profile_rng = rng().split();

@@ -459,11 +459,11 @@ void OverlayEngine::sweep_keyed_notes() {
 
 void OverlayEngine::request_snapshot_save(std::string path, double at_s) {
   if (load_opts_.enabled)
-    throw std::invalid_argument(cfg_.name + kLoadSnapshotError);
+    throw FlagConflict(cfg_.name + kLoadSnapshotError);
   if (adversary_plan_.enabled())
-    throw std::invalid_argument(cfg_.name + kAdversarySnapshotError);
+    throw FlagConflict(cfg_.name + kAdversarySnapshotError);
   if (capture_armed_)
-    throw std::invalid_argument(cfg_.name + kCaptureSnapshotError);
+    throw FlagConflict(cfg_.name + kCaptureSnapshotError);
   if (!(at_s > 0.0))
     throw std::invalid_argument(cfg_.name +
                                 ": snapshot time must be positive");
@@ -488,11 +488,11 @@ void OverlayEngine::save_snapshot(const std::string& path) {
 
 void OverlayEngine::load_snapshot(const std::string& path) {
   if (load_opts_.enabled)
-    throw std::invalid_argument(cfg_.name + kLoadSnapshotError);
+    throw FlagConflict(cfg_.name + kLoadSnapshotError);
   if (adversary_plan_.enabled())
-    throw std::invalid_argument(cfg_.name + kAdversarySnapshotError);
+    throw FlagConflict(cfg_.name + kAdversarySnapshotError);
   if (capture_armed_)
-    throw std::invalid_argument(cfg_.name + kCaptureSnapshotError);
+    throw FlagConflict(cfg_.name + kCaptureSnapshotError);
   if (resumed_ || sim_.pending() != 0 || sim_.now() != 0.0)
     throw std::logic_error(
         cfg_.name +
@@ -768,7 +768,7 @@ void OverlayEngine::set_adversary(AdversaryPlan plan) {
   plan.validate();
   if (plan.enabled()) {
     if (save_requested_ || resumed_)
-      throw std::invalid_argument(cfg_.name + kAdversarySnapshotError);
+      throw FlagConflict(cfg_.name + kAdversarySnapshotError);
     if (sim_.now() > 0.0)
       throw std::logic_error(cfg_.name +
                              ": set_adversary must run before run");
@@ -785,7 +785,7 @@ void OverlayEngine::set_capture_trace(std::string path) {
     throw std::invalid_argument(cfg_.name +
                                 ": --capture-trace path must be non-empty");
   if (save_requested_ || resumed_)
-    throw std::invalid_argument(cfg_.name + kCaptureSnapshotError);
+    throw FlagConflict(cfg_.name + kCaptureSnapshotError);
   capture_path_ = std::move(path);
   capture_armed_ = true;
 }
@@ -932,7 +932,7 @@ void OverlayEngine::set_open_loop(load::OpenLoopOptions opts) {
     return;
   }
   if (save_requested_ || resumed_)
-    throw std::invalid_argument(cfg_.name + kLoadSnapshotError);
+    throw FlagConflict(cfg_.name + kLoadSnapshotError);
   if (sim_.now() > 0.0)
     throw std::logic_error(cfg_.name + ": set_open_loop must run before run");
   if (opts.admission_cap == 0)

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,6 +44,14 @@
 namespace dsf::sim {
 
 class InvariantChecker;  // sim/invariants.h (which includes this header)
+
+/// Two feature groups that cannot be armed on one run (snapshots with
+/// open-loop load, the adversary layer or --capture-trace).  dsf_sim
+/// reports it like a bad flag: usage exit 2.
+class FlagConflict : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
 
 /// How the engine carves RNG lanes out of the master stream.  Both layouts
 /// predate the engine; preserving them bit-for-bit is what keeps every

@@ -1,36 +1,34 @@
 #include "workload/library_pool.h"
 
-#include <algorithm>
-
 namespace dsf::workload {
 
 void LibraryPool::reserve(std::size_t num_users, std::size_t expected_songs) {
   start_.reserve(num_users + 1);
+  categories_.reserve(num_users);
+  spilled_.reserve(num_users);
   songs_.reserve(expected_songs);
-  if (start_.empty()) start_.push_back(0);
 }
 
 void LibraryPool::append(const Library& lib) {
-  if (start_.empty()) start_.push_back(0);
+  std::uint64_t categories = 0;
+  for (SongId s : lib.songs()) categories |= category_bit(s);
   songs_.insert(songs_.end(), lib.songs().begin(), lib.songs().end());
   start_.push_back(songs_.size());
+  categories_.push_back(categories);
+  spilled_.push_back(false);
 }
 
-bool LibraryPool::contains(std::uint32_t u, SongId s) const noexcept {
+bool LibraryPool::search(std::uint32_t u, SongId s) const noexcept {
   const auto b = base(u);
   if (std::binary_search(b.begin(), b.end(), s)) return true;
-  if (spill_.empty()) return false;
-  const auto it = spill_.find(u);
-  if (it == spill_.end()) return false;
-  return std::binary_search(it->second.begin(), it->second.end(), s);
+  if (!spilled_[u]) return false;
+  const auto& spill = spill_.find(u)->second;
+  return std::binary_search(spill.begin(), spill.end(), s);
 }
 
 std::size_t LibraryPool::size(std::uint32_t u) const {
   std::size_t n = base(u).size();
-  if (!spill_.empty()) {
-    const auto it = spill_.find(u);
-    if (it != spill_.end()) n += it->second.size();
-  }
+  if (spilled_[u]) n += spill_.find(u)->second.size();
   return n;
 }
 
@@ -40,11 +38,15 @@ void LibraryPool::add(std::uint32_t u, SongId s) {
   auto& spill = spill_[u];
   const auto it = std::lower_bound(spill.begin(), spill.end(), s);
   if (it == spill.end() || *it != s) spill.insert(it, s);
+  categories_[u] |= category_bit(s);
+  spilled_[u] = true;
 }
 
 std::size_t LibraryPool::memory_bytes() const noexcept {
   std::size_t bytes = songs_.capacity() * sizeof(SongId) +
-                      start_.capacity() * sizeof(std::uint64_t);
+                      start_.capacity() * sizeof(std::uint64_t) +
+                      categories_.capacity() * sizeof(std::uint64_t) +
+                      spilled_.capacity() / 8;
   for (const auto& [u, spill] : spill_) {
     (void)u;
     bytes += sizeof(spill) + spill.capacity() * sizeof(SongId) +

@@ -15,13 +15,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
 
 #include "../sim/sim_fingerprints.h"
+#include "load/schedule.h"
 #include "sim/fault.h"
 
 namespace dsf {
@@ -38,10 +41,12 @@ std::vector<char> slurp(const std::string& path) {
 
 /// Straight-through vs save-run vs resumed-run fingerprints, plus
 /// save-twice byte identity.  `arm` configures each simulation identically
-/// (fault plans, crash models) before anything runs.
-template <typename Sim, typename Config, typename Arm>
+/// (fault plans, crash models) before anything runs; `inspect` sees the
+/// resumed simulation right after the load, i.e. the state at `save_at_s`.
+template <typename Sim, typename Config, typename Arm, typename Inspect>
 void expect_resume_equals_straight(const Config& cfg, double save_at_s,
-                                   const std::string& tag, Arm arm) {
+                                   const std::string& tag, Arm arm,
+                                   Inspect inspect) {
   const std::string path = ::testing::TempDir() + "dsf_" + tag + ".snap";
   const std::string path2 = path + ".again";
 
@@ -63,6 +68,7 @@ void expect_resume_equals_straight(const Config& cfg, double save_at_s,
     arm(resumer);
     resumer.load_snapshot(path);
     EXPECT_TRUE(resumer.resumed());
+    inspect(static_cast<const Sim&>(resumer));
     EXPECT_EQ(straight_fp, fingerprint(resumer.run()).value())
         << tag << ": resumed trajectory diverged";
   }
@@ -76,6 +82,13 @@ void expect_resume_equals_straight(const Config& cfg, double save_at_s,
       << tag << ": saving at the same T twice produced different bytes";
   std::remove(path.c_str());
   std::remove(path2.c_str());
+}
+
+template <typename Sim, typename Config, typename Arm>
+void expect_resume_equals_straight(const Config& cfg, double save_at_s,
+                                   const std::string& tag, Arm arm) {
+  expect_resume_equals_straight<Sim>(cfg, save_at_s, tag, arm,
+                                     [](const Sim&) {});
 }
 
 template <typename Sim, typename Config>
@@ -124,6 +137,40 @@ TEST(ResumeDifferential, GnutellaSummaryGatedWithLibraryGrowth) {
   c.library_growth = true;
   expect_resume_equals_straight<gnutella::Simulation>(c, 3600.0,
                                                       "gnutella_summary");
+}
+
+TEST(ResumeDifferential, GnutellaLibraryGrowthIntoNewCategories) {
+  // With §4.2's library sizes every profile category is already in the
+  // base library, so downloads never open a new category.  Libraries of
+  // under ten songs hold no side-category songs at all: side-category
+  // hits then land in categories the base lacks, and the checkpoint must
+  // carry them so the resumed pool rebuilds its category directory from
+  // the spill lists alone.
+  gnutella::Config c = small_gnutella();
+  c.library_growth = true;
+  c.library.mean_size = 5.0;
+  c.library.stddev_size = 2.0;
+  c.library.min_size = 1.0;
+  c.library.max_size = 9.0;
+  const workload::Catalog catalog(c.catalog);
+  const auto expect_new_category_spill =
+      [&catalog](const gnutella::Simulation& sim) {
+        std::size_t n = 0;
+        for (const auto& [u, songs] : sim.libraries().spill()) {
+          const auto base = sim.libraries().base(u);
+          for (workload::SongId s : songs) {
+            const auto cat = catalog.category_of(s);
+            n += std::none_of(base.begin(), base.end(),
+                              [&](workload::SongId b) {
+                                return catalog.category_of(b) == cat;
+                              });
+          }
+        }
+        EXPECT_GT(n, 0u) << "no download into a new category before the save";
+      };
+  expect_resume_equals_straight<gnutella::Simulation>(
+      c, 3600.0, "gnutella_new_category", [](gnutella::Simulation&) {},
+      expect_new_category_spill);
 }
 
 TEST(ResumeDifferential, GnutellaWithCrashes) {
@@ -227,6 +274,38 @@ TEST(ResumeDifferential, MisuseIsRejected) {
     EXPECT_THROW(sim.load_snapshot(path), std::logic_error);
   }
   std::remove(path.c_str());
+}
+
+TEST(ResumeDifferential, UncheckpointedFeaturesAreTypedFlagConflicts) {
+  // Open-loop load, the adversary layer and --capture-trace keep state no
+  // snapshot section carries.  Arming one with a snapshot, in either
+  // order, throws sim::FlagConflict, which dsf_sim reports as exit 2.
+  const gnutella::Config cfg = small_gnutella();
+  const std::string path = ::testing::TempDir() + "dsf_conflict.snap";
+  load::OpenLoopOptions load;
+  load.enabled = true;
+  load.schedule = load::make_schedule(load::ScheduleKind::kConstant, 1.0,
+                                      1.0, cfg.sim_hours * 3600.0);
+  sim::AdversaryPlan adversary;
+  adversary.free_rider_fraction = 0.1;
+  const std::vector<std::function<void(gnutella::Simulation&)>> features = {
+      [&](gnutella::Simulation& s) { s.set_open_loop(load); },
+      [&](gnutella::Simulation& s) { s.set_adversary(adversary); },
+      [](gnutella::Simulation& s) { s.set_capture_trace("unused.trace"); },
+  };
+  for (std::size_t i = 0; i < features.size(); ++i) {
+    gnutella::Simulation feature_first(cfg);
+    features[i](feature_first);
+    EXPECT_THROW(feature_first.request_snapshot_save(path, 60.0),
+                 sim::FlagConflict)
+        << "feature " << i;
+    EXPECT_THROW(feature_first.load_snapshot(path), sim::FlagConflict)
+        << "feature " << i;
+    gnutella::Simulation snapshot_first(cfg);
+    snapshot_first.request_snapshot_save(path, 60.0);
+    EXPECT_THROW(features[i](snapshot_first), sim::FlagConflict)
+        << "feature " << i;
+  }
 }
 
 }  // namespace

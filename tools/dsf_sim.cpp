@@ -26,7 +26,7 @@
 //                            (changes event ordering; off by default)
 //
 // Every scenario also accepts the snapshot group (mutually exclusive with
-// open-loop load, the adversary group and --capture-trace):
+// open-loop load, the adversary group and --capture-trace; exit 2):
 //
 //   --save-snapshot PATH@T   run to sim-second T, write a checkpoint of the
 //                            full simulation state to PATH, continue to the
@@ -67,10 +67,12 @@
 //                            --open-loop --load-trace replay
 //
 // Command-line errors — unknown options (rejected with a nearest-match
-// suggestion) and values that do not parse as, or overflow, the declared
-// type — exit 2.  Corrupt, truncated or mismatched snapshot files exit 5
-// without partial state mutation.  Text output is human-readable; --json
-// emits a machine-readable record for scripting sweeps.
+// suggestion), values that do not parse as, or overflow, the declared
+// type, and flag groups that cannot be combined (snapshots with open-loop
+// load, the adversary layer or --capture-trace) — exit 2.  Corrupt,
+// truncated or mismatched snapshot files exit 5 without partial state
+// mutation.  Text output is human-readable; --json emits a
+// machine-readable record for scripting sweeps.
 
 #include <cstdio>
 #include <iostream>
@@ -765,6 +767,10 @@ int main(int argc, char** argv) {
   } catch (const dsf::cli::FlagError& e) {
     // The typed flag-error family: unknown options, type mismatches, and
     // values that overflow the declared type all exit with usage status.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  } catch (const dsf::sim::FlagConflict& e) {
+    // Flag groups the engine cannot combine are usage errors too.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   } catch (const dsf::snap::SnapshotError& e) {
