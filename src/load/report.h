@@ -2,7 +2,7 @@
 
 // Shared serialization of one open-loop run's LoadStats: the same field
 // set backs the `load` object in dsf_sim's JSON output, every point of
-// bench_load_sweep's dsf-load-sweep-v1 document, and the byte-identity
+// `bench_sweep load`'s dsf-load-sweep-v1 document, and the byte-identity
 // determinism test (two same-seed runs must serialize identically).
 
 #include "load/open_loop.h"

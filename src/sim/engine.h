@@ -612,23 +612,12 @@ class OverlayEngine {
                                 net::NodeId to, int ttl);
 
   /// TransmitFn adapter binding the engine's fault layer to the
-  /// transmit-aware core searches (core::flood_search and friends).
-  struct Transmit {
-    OverlayEngine* engine;
-    void begin(int max_ttl) const { engine->begin_faulty_search(max_ttl); }
-    core::TransmitResult operator()(net::MessageType type, net::NodeId from,
-                                    net::NodeId to, int ttl) const {
-      return engine->transmit(type, from, to, ttl);
-    }
-  };
-  Transmit transmit_fn() noexcept { return Transmit{this}; }
-
-  /// TransmitFn adapter that collapses the fault/no-fault branch every
-  /// search call site used to duplicate: when `active` is false it is
-  /// byte-identical to core::ReliableTransmit (default verdict, zero
-  /// draws, no checker TTL context); when true it is Transmit.  Call
-  /// sites bind search_transmit() once and stop forking whole dispatch
-  /// expressions on fault_layer_active().
+  /// transmit-aware core searches (core::flood_search and friends).  When
+  /// `active` is false it is byte-identical to core::ReliableTransmit
+  /// (default verdict, zero draws, no checker TTL context); when true every
+  /// copy's fate goes through transmit() and each search resets the
+  /// checker's TTL context.  Call sites bind search_transmit() once instead
+  /// of forking whole dispatch expressions on fault_layer_active().
   struct MaybeFaultyTransmit {
     OverlayEngine* engine;
     bool active;
