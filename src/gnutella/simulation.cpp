@@ -144,16 +144,12 @@ void Simulation::probe_overlay() {
 
 RunResult Simulation::run() {
   // A resumed run skips priming (hot/cold state, roster and pending events
-  // come from the snapshot) but must still register its periodics in the
-  // same order as a fresh run so periodic indices line up with the file.
+  // come from the snapshot); schedule_every registers the probe either way.
   if (!resumed()) prime();
-  if (config_.probe_period_s > 0.0) {
-    if (resumed())
-      register_periodic(config_.probe_period_s, [this] { probe_overlay(); });
-    else
-      schedule_every(config_.probe_period_s, config_.probe_period_s,
-                     [this] { probe_overlay(); });
-  }
+  if (config_.probe_period_s > 0.0)
+    schedule_every(config_.probe_period_s,
+                   [this] { return config_.probe_period_s; },
+                   [this] { probe_overlay(); });
   result_.events_executed = run_until_horizon();
   result_.warmup_bucket = static_cast<std::size_t>(config_.warmup_hours);
   result_.last_bucket = static_cast<std::size_t>(config_.sim_hours) - 1;

@@ -99,12 +99,6 @@ const char* kCaptureSnapshotError =
     " incomplete)";
 }  // namespace
 
-void OverlayEngine::schedule_every(double first_delay_s, double period_s,
-                                   std::function<void()> fn) {
-  const std::size_t idx = register_periodic(period_s, std::move(fn));
-  start_periodic(idx, first_delay_s);
-}
-
 std::size_t OverlayEngine::register_periodic(double period_s,
                                              std::function<void()> body) {
   periodics_.push_back(Periodic{period_s, std::move(body)});
@@ -124,38 +118,26 @@ void OverlayEngine::run_periodic_tick(std::size_t idx) {
   start_periodic(idx, periodics_[idx].period_s);
 }
 
-void OverlayEngine::sample_traffic() {
-  TrafficSample s;
-  s.time_s = sim_.now();
-  s.messages = ledger_.stats().total();
-  s.bytes = ledger_.total_bytes();
-  traffic_samples_.push_back(s);
-  if (traffic_series_) {
-    // Per-bucket increments: the series holds new messages per period.
-    const std::uint64_t prev = traffic_samples_.size() > 1
-                                   ? traffic_samples_.rbegin()[1].messages
-                                   : 0;
-    traffic_series_->add(s.time_s, s.messages - prev);
+void OverlayEngine::run_to(double end_s) {
+  if (heartbeat_period_s_ > 0.0 && obs_ != nullptr) {
+    for (double t = next_heartbeat_ * heartbeat_period_s_; t <= end_s;
+         t = ++next_heartbeat_ * heartbeat_period_s_) {
+      sim_.run_until(t);
+      emit_heartbeat();
+    }
   }
+  sim_.run_until(end_s);
 }
 
 std::uint64_t OverlayEngine::run_until_horizon() {
-  // Engine periodics register on fresh and resumed runs alike (identical
-  // indices); only fresh runs draw start offsets and schedule first ticks.
-  if (traffic_sample_period_s_ > 0.0) {
-    if (!traffic_series_) traffic_series_.emplace(traffic_sample_period_s_);
-    const std::size_t idx = register_periodic(traffic_sample_period_s_,
-                                              [this] { sample_traffic(); });
-    if (!resumed_) start_periodic(idx, traffic_sample_period_s_);
-  }
-  if (heartbeat_period_s_ > 0.0 && obs_ != nullptr) {
+  if (heartbeat_period_s_ > 0.0) {
     heartbeat_wall_start_s_ =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count();
-    const std::size_t idx =
-        register_periodic(heartbeat_period_s_, [this] { emit_heartbeat(); });
-    if (!resumed_) start_periodic(idx, heartbeat_period_s_);
+    // The first boundary strictly after the clock: a resumed run picks up
+    // where the saving run's heartbeats left off.
+    next_heartbeat_ = std::floor(sim_.now() / heartbeat_period_s_) + 1.0;
   }
   if (!resumed_ || (crash_model_.enabled() && !saved_crash_armed_)) {
     // Fresh runs start the crash process as configured.  A resumed run
@@ -174,10 +156,10 @@ std::uint64_t OverlayEngine::run_until_horizon() {
     // callback is mid-flight, so T is a clean cut; the second segment then
     // executes the exact events the unsegmented run would.
     save_requested_ = false;
-    sim_.run_until(std::min(save_at_s_, horizon_s()));
+    run_to(std::min(save_at_s_, horizon_s()));
     save_snapshot(save_path_);
   }
-  sim_.run_until(horizon_s());
+  run_to(horizon_s());
   if (load_opts_.enabled) {
     std::uint64_t pending = 0;
     for (const load::PeerQueue& q : load_queues_) pending += q.depth();
@@ -214,13 +196,10 @@ void OverlayEngine::trace_event(TraceKind kind, net::NodeId from,
                                 net::NodeId to, net::MessageType type,
                                 std::uint64_t bytes, int ttl,
                                 std::uint64_t copies) {
-  if (checker_ || trace_) {
-    for (std::uint64_t i = 0; i < copies; ++i) {
-      const TraceEvent ev{kind,  now_s(), from, to, type, bytes, ttl,
-                          abuse_ambient_};
-      if (checker_) checker_->on_trace(ev);
-      if (trace_) trace_(ev);
-    }
+  if (checker_) {
+    const TraceEvent ev{kind, now_s(), from, to, type, bytes, ttl,
+                        abuse_ambient_};
+    for (std::uint64_t i = 0; i < copies; ++i) checker_->on_trace(ev);
   }
   if (obs_) {
     // One compact record covers all copies (Record.b carries the count).
@@ -333,57 +312,6 @@ core::TransmitResult OverlayEngine::transmit(net::MessageType type,
     trace_event(TraceKind::kDrop, from, to, type, b, ttl, copies);
   }
   return res;
-}
-
-void OverlayEngine::send_faulty(net::NodeId from, net::NodeId to,
-                                net::MessageType type,
-                                std::function<void()> on_deliver,
-                                std::uint64_t bytes) {
-  // Delay first: with an empty plan this consumes exactly the draws the
-  // fast path would, so checker-only runs replay byte-identically.
-  const double base_delay = sample_delay_s(from, to);
-  FaultDecision d;
-  if (!fault_plan_.empty()) d = fault_plan_.decide(type, now_s(), fault_lane());
-  if (d.duplicate) count(type, 1, bytes);  // extra copy's send
-  const std::uint64_t copies = d.duplicate ? 2 : 1;
-  trace_event(TraceKind::kSend, from, to, type, bytes, -1, copies);
-  if (d.drop) {
-    ledger_.count_dropped(type, copies);
-    if (abuse_ambient_) abuse_ledger_.count_dropped(type, copies);
-    trace_event(TraceKind::kDrop, from, to, type, bytes, -1, copies);
-    return;
-  }
-  // The abuse scope is ambient only for the duration of the synchronous
-  // spray service; capture it so the delayed fate (and any cascade the
-  // delivery callback triggers) stays attributed to the abuser.
-  const bool abuse = abuse_ambient_;
-  deliver_copy(base_delay + d.extra_delay_s, from, to, type, bytes, abuse,
-               on_deliver);
-  if (d.duplicate)
-    // The duplicate takes its own path through the network.
-    deliver_copy(sample_delay_s(from, to) + d.extra_delay_s, from, to, type,
-                 bytes, abuse, std::move(on_deliver));
-}
-
-void OverlayEngine::deliver_copy(double delay_s, net::NodeId from,
-                                 net::NodeId to, net::MessageType type,
-                                 std::uint64_t bytes, bool abuse,
-                                 std::function<void()> on_deliver) {
-  sim_.schedule_in(
-      delay_s,
-      [this, from, to, type, bytes, abuse, fn = std::move(on_deliver)] {
-        const ScopedAbuse scope(this, abuse);
-        if (node_dead(to)) {
-          ledger_.count_dropped(type, 1);
-          if (abuse_ambient_) abuse_ledger_.count_dropped(type, 1);
-          trace_event(TraceKind::kDrop, from, to, type, bytes, -1, 1);
-          return;
-        }
-        ledger_.count_delivered(type, 1);
-        if (abuse_ambient_) abuse_ledger_.count_delivered(type, 1);
-        trace_event(TraceKind::kDeliver, from, to, type, bytes, -1, 1);
-        fn();
-      });
 }
 
 void OverlayEngine::crash_node(net::NodeId u) {
@@ -547,19 +475,6 @@ void OverlayEngine::write_engine_core(snap::Writer::Out& out) {
     out.u64(ledger_.delivered(static_cast<net::MessageType>(t)));
   for (int t = 0; t < net::kNumMessageTypes; ++t)
     out.u64(ledger_.dropped(static_cast<net::MessageType>(t)));
-  out.f64(traffic_sample_period_s_);
-  out.u64(traffic_samples_.size());
-  for (const TrafficSample& s : traffic_samples_) {
-    out.f64(s.time_s);
-    out.u64(s.messages);
-    out.u64(s.bytes);
-  }
-  out.u8(traffic_series_ ? 1 : 0);
-  if (traffic_series_) {
-    out.f64(traffic_series_->bucket_width());
-    out.u64(traffic_series_->buckets().size());
-    for (std::uint64_t b : traffic_series_->buckets()) out.u64(b);
-  }
   out.u32(next_span_);
   // Period per registered periodic: the resumed run re-registers the
   // bodies and replay validates its table against this one.
@@ -598,29 +513,6 @@ void OverlayEngine::read_engine_core(snap::Reader::In& in) {
   for (std::uint64_t& v : delivered) v = in.u64();
   for (std::uint64_t& v : dropped) v = in.u64();
   ledger_.restore(stats, bytes, delivered, dropped);
-  const double sample_period = in.f64();
-  if (sample_period != traffic_sample_period_s_)
-    throw snap::SnapshotError(
-        cfg_.name +
-        ": traffic sample period differs from the snapshot's; resume with "
-        "the same sampling flags");
-  traffic_samples_.clear();
-  const std::uint64_t num_samples = in.u64();
-  traffic_samples_.reserve(static_cast<std::size_t>(num_samples));
-  for (std::uint64_t i = 0; i < num_samples; ++i) {
-    TrafficSample s;
-    s.time_s = in.f64();
-    s.messages = in.u64();
-    s.bytes = in.u64();
-    traffic_samples_.push_back(s);
-  }
-  if (in.u8() != 0) {
-    const double width = in.f64();
-    std::vector<std::uint64_t> buckets(static_cast<std::size_t>(in.u64()));
-    for (std::uint64_t& b : buckets) b = in.u64();
-    traffic_series_.emplace(width);
-    traffic_series_->restore(std::move(buckets));
-  }
   next_span_ = in.u32();
   restored_periods_.clear();
   const std::uint64_t num_periodics = in.u64();

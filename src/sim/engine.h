@@ -17,7 +17,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -30,7 +29,6 @@
 #include "des/rng.h"
 #include "des/simulator.h"
 #include "load/open_loop.h"
-#include "metrics/time_series.h"
 #include "net/delay_model.h"
 #include "net/message.h"
 #include "net/node_id.h"
@@ -184,7 +182,7 @@ enum class TraceKind : std::uint8_t {
 };
 
 /// One structured trace record, emitted at the engine's trace points when
-/// a hook or an InvariantChecker is attached.
+/// an InvariantChecker is attached.
 struct TraceEvent {
   TraceKind kind = TraceKind::kSend;
   double time_s = 0.0;
@@ -199,14 +197,6 @@ struct TraceEvent {
   /// was sent (or its fate resolved) inside an adversary-layer abuse scope.
   /// Always false with the layer off, so existing consumers are untouched.
   bool abuse = false;
-};
-using TraceHook = std::function<void(const TraceEvent&)>;
-
-/// One periodic traffic sample (enable via set_traffic_sample_period).
-struct TrafficSample {
-  double time_s = 0.0;
-  std::uint64_t messages = 0;  ///< cumulative count at sample time
-  std::uint64_t bytes = 0;     ///< cumulative bytes at sample time
 };
 
 /// Base class of every scenario simulator.  Owns the simulator clock, the
@@ -241,9 +231,6 @@ class OverlayEngine {
   /// a capturing sink instead.
   using WarningSink = std::function<void(const std::string&)>;
   void set_warning_sink(WarningSink sink) { warning_sink_ = std::move(sink); }
-
-  /// Installs a structured trace hook; every send() reports through it.
-  void set_trace_hook(TraceHook hook) { trace_ = std::move(hook); }
 
   /// --- fault injection (all off by default: zero draws, zero events) ----
   /// Installs the fault schedule consulted by every transmission.  An
@@ -287,10 +274,10 @@ class OverlayEngine {
   obs::TraceSink* trace_sink() const noexcept { return obs_; }
 
   /// Enables periodic heartbeat records (events executed, queue
-  /// population, wall clock, RSS) every `period_s` simulated seconds.
-  /// Off by default — and deliberately opt-in even when tracing is on:
-  /// the heartbeat schedules real events, which shifts the queue's
-  /// insertion-order tie-breaking and therefore the fingerprint.
+  /// population, wall clock, RSS) every `period_s` simulated seconds,
+  /// while a sink is attached.  The horizon loop stops the clock at each
+  /// multiple of `period_s` and emits the record between segments, so a
+  /// heartbeat schedules no event and never reaches a checkpoint.
   void set_heartbeat_period(double period_s) {
     heartbeat_period_s_ = period_s;
   }
@@ -308,20 +295,6 @@ class OverlayEngine {
   /// nobody updates neighbor tables on its behalf: ex-neighbors keep
   /// dangling entries, exactly as after a real ungraceful disconnect.
   void crash_node(net::NodeId u);
-
-  /// Enables periodic traffic sampling every `period_s` seconds (wired to
-  /// metrics::TimeSeries bucketing).  Must be called before run; off by
-  /// default so ported benches replay byte-identically.
-  void set_traffic_sample_period(double period_s) {
-    traffic_sample_period_s_ = period_s;
-  }
-  const std::vector<TrafficSample>& traffic_samples() const noexcept {
-    return traffic_samples_;
-  }
-  /// Message counts bucketed by sample period (empty unless enabled).
-  const std::optional<metrics::TimeSeries>& traffic_series() const noexcept {
-    return traffic_series_;
-  }
 
   /// --- snapshot/restore (DESIGN.md §1.9) --------------------------------
   /// Arms a mid-run snapshot: the horizon loop runs to `at_s`,
@@ -348,9 +321,9 @@ class OverlayEngine {
   void save_snapshot(const std::string& path);
 
   /// True when this simulation was restored from a snapshot.  Scenarios
-  /// branch on this in run(): skip the initial scheduling draws, register
-  /// periodic bodies only (in the exact fresh-run order), and let the
-  /// engine replay the snapshot's pending events.
+  /// branch on this in run() to skip their initial scheduling draws; the
+  /// engine replays the snapshot's pending events, and schedule_every
+  /// skips the first-tick draw on its own.
   bool resumed() const noexcept { return resumed_; }
 
   /// --- open-loop load injection (off by default: zero draws, zero
@@ -515,14 +488,6 @@ class OverlayEngine {
     return id;
   }
 
-  /// Splits schedule_every into its two halves so a restored run can
-  /// rebuild periodic bodies without re-drawing their start offsets:
-  /// registration appends the body to an index-stable table (identical
-  /// call order fresh and resumed, hence identical indices), and
-  /// start_periodic — fresh runs only — schedules the first keyed tick.
-  std::size_t register_periodic(double period_s, std::function<void()> body);
-  void start_periodic(std::size_t idx, double first_delay_s);
-
   /// --- accounting ------------------------------------------------------
   /// Counts a send; while an abuse scope is ambient the count is mirrored
   /// into the abuse ledger so blast-radius traffic stays attributed (one
@@ -531,66 +496,6 @@ class OverlayEngine {
              std::uint64_t bytes_each = 0) noexcept {
     ledger_.count(t, n, bytes_each);
     if (abuse_ambient_) abuse_ledger_.count(t, n, bytes_each);
-  }
-
-  /// Unified message dispatch: accounts for the transmission (count +
-  /// bytes + optional trace record), samples the propagation delay from
-  /// the delay lane and schedules `on_deliver` at the arrival time.
-  /// New scenarios build their protocols on this; the ported hot paths
-  /// keep their historical inline accounting so the replayed RNG stream
-  /// is untouched.  When the fault layer is active the transmission is
-  /// routed through it: the plan may drop/duplicate/delay the copy, a
-  /// dead receiver drops it on arrival, and every copy's fate is traced.
-  template <typename Fn>
-  void send(net::NodeId from, net::NodeId to, net::MessageType type,
-            Fn&& on_deliver, std::uint64_t bytes = 0) {
-    const std::uint64_t b = bytes ? bytes : default_message_bytes(type);
-    count(type, 1, b);
-    if (fault_active_) {
-      send_faulty(from, to, type, std::function<void()>(on_deliver), b);
-      return;
-    }
-    if (trace_)
-      trace_(TraceEvent{TraceKind::kSend, now_s(), from, to, type, b, -1,
-                        abuse_ambient_});
-    sim_.schedule_in(sample_delay_s(from, to), std::forward<Fn>(on_deliver));
-  }
-
-  /// Batched unified dispatch for neighbor fan-out: one ledger update, one
-  /// timestamp read and one bulk queue insertion cover the whole batch.
-  /// `targets` is any random-access range of NodeId; `make_on_deliver(i)`
-  /// builds the delivery callback for targets[i].  Delay samples are drawn
-  /// from the delay lane in target order and the scheduled events carry
-  /// consecutive sequence numbers, so a run using send_batch is
-  /// byte-identical to the same run calling send() per target.  When the
-  /// fault layer is active every copy still gets an individual fate
-  /// (drop/duplicate/delay, dead-receiver check) through the per-copy
-  /// faulty path.
-  template <typename Targets, typename MakeCb>
-  void send_batch(net::NodeId from, const Targets& targets,
-                  net::MessageType type, MakeCb&& make_on_deliver,
-                  std::uint64_t bytes_each = 0) {
-    const std::size_t n = std::size(targets);
-    if (n == 0) return;
-    const std::uint64_t b =
-        bytes_each ? bytes_each : default_message_bytes(type);
-    count(type, n, b);
-    if (fault_active_) {
-      for (std::size_t i = 0; i < n; ++i)
-        send_faulty(from, targets[i], type,
-                    std::function<void()>(make_on_deliver(i)), b);
-      return;
-    }
-    const double now = now_s();
-    if (trace_)
-      for (std::size_t i = 0; i < n; ++i)
-        trace_(TraceEvent{TraceKind::kSend, now, from, targets[i], type, b,
-                          -1, abuse_ambient_});
-    sim_.queue().schedule_batch(n, [&](std::size_t i) {
-      const double d = sample_delay_s(from, targets[i]);
-      return std::pair<des::SimTime, des::Callback>(d > 0 ? now + d : now,
-                                                    make_on_deliver(i));
-    });
   }
 
   /// --- fault layer ------------------------------------------------------
@@ -603,11 +508,12 @@ class OverlayEngine {
   /// iterative-deepening cycle) with hop budget `max_ttl`.
   void begin_faulty_search(int max_ttl);
 
-  /// Resolves the fate of one synchronous transmission (the eagerly
-  /// expanded search paths): consults the plan, drops copies addressed to
-  /// dead peers, updates the ledger's fate counters and emits trace
-  /// records.  Does NOT count the send itself — callers keep their
-  /// historical bulk accounting.
+  /// Resolves the fate of one transmission.  Every scenario expands its
+  /// searches and control exchanges eagerly, so this is the engine's only
+  /// transmit path: it consults the plan, drops copies addressed to dead
+  /// peers, updates the ledger's fate counters and emits trace records.
+  /// Does NOT count the send itself — callers count() the send (and the
+  /// second copy when the verdict says `duplicate`).
   core::TransmitResult transmit(net::MessageType type, net::NodeId from,
                                 net::NodeId to, int ttl);
 
@@ -713,15 +619,22 @@ class OverlayEngine {
   void warn(const std::string& message);
 
   /// --- periodic scheduling --------------------------------------------
-  /// Runs `fn` after `first_delay_s`, then every `period_s` forever.
-  /// Equivalent to the trailing-self-reschedule pattern the scenarios used
-  /// (body runs, then reschedules last): the callback invokes `fn` and
-  /// then schedules the next tick, so event insertion order — and with it
-  /// the queue's insertion-order tie-breaking — is unchanged as long as
-  /// `fn` itself schedules nothing after its own old reschedule point
-  /// (true of every ported periodic body).
-  void schedule_every(double first_delay_s, double period_s,
-                      std::function<void()> fn);
+  /// Runs `body` every `period_s` forever.  The body always joins an
+  /// index-stable table, so fresh and resumed runs that register in the
+  /// same order get the same indices.  A fresh run then calls
+  /// `first_delay_s()` (which may draw) and schedules the first tick after
+  /// that delay; a resumed run calls nothing and takes its pending tick
+  /// from the snapshot.  Each tick invokes `body` and then schedules the
+  /// next, the trailing-self-reschedule pattern the scenarios used, so
+  /// event insertion order is unchanged as long as `body` schedules
+  /// nothing after its own old reschedule point (true of every ported
+  /// periodic body).
+  template <typename FirstDelayFn>
+  void schedule_every(double period_s, FirstDelayFn&& first_delay_s,
+                      std::function<void()> body) {
+    const std::size_t idx = register_periodic(period_s, std::move(body));
+    if (!resumed_) start_periodic(idx, first_delay_s());
+  }
 
   /// --- bootstrap -------------------------------------------------------
   /// The shared attempt budget of the random bootstrap: four probes per
@@ -794,8 +707,6 @@ class OverlayEngine {
   MessageLedger ledger_;
 
  private:
-  void sample_traffic();
-
   /// --- snapshot plumbing ------------------------------------------------
   struct KeyedNote {
     std::uint32_t kind = 0;
@@ -813,6 +724,8 @@ class OverlayEngine {
     std::function<void()> body;
   };
 
+  std::size_t register_periodic(double period_s, std::function<void()> body);
+  void start_periodic(std::size_t idx, double first_delay_s);
   void note_keyed(std::uint64_t seq, std::uint32_t kind, std::uint64_t a,
                   std::uint64_t b);
   /// Drops notes whose events already fired (amortized: rebuilds from the
@@ -831,18 +744,8 @@ class OverlayEngine {
   void read_overlay(snap::Reader::In& in);
   void read_events(snap::Reader::In& in);
 
-  /// Async-path fate resolution behind send(): plan decision, per-copy
-  /// delivery events, dead-receiver drops, fate traces.  The ambient abuse
-  /// flag is captured at send time and re-established around the delayed
-  /// fate (and the delivery callback's cascade) so asynchronous copies stay
-  /// attributed to their abuser.
-  void send_faulty(net::NodeId from, net::NodeId to, net::MessageType type,
-                   std::function<void()> on_deliver, std::uint64_t bytes);
-  void deliver_copy(double delay_s, net::NodeId from, net::NodeId to,
-                    net::MessageType type, std::uint64_t bytes, bool abuse,
-                    std::function<void()> on_deliver);
-
-  /// Emits `copies` identical trace records to the checker and the hook.
+  /// Emits `copies` identical trace records to the checker, and one
+  /// record to the flight recorder.
   void trace_event(TraceKind kind, net::NodeId from, net::NodeId to,
                    net::MessageType type, std::uint64_t bytes, int ttl,
                    std::uint64_t copies);
@@ -851,6 +754,11 @@ class OverlayEngine {
   void obs_record(obs::RecordKind kind, net::NodeId from, net::NodeId to,
                   net::MessageType type, std::uint64_t bytes, int ttl,
                   std::uint64_t copies);
+  /// Runs the clock to `end_s`, stopping at every heartbeat boundary on
+  /// the way.  run_until(T) leaves every pending event strictly later
+  /// than T and no callback mid-flight, so the record emitted between
+  /// segments sees a clean cut and the events run exactly as in one call.
+  void run_to(double end_s);
   void emit_heartbeat();
 
   /// The traced paths serve three consumers: the fault plan, the
@@ -911,11 +819,7 @@ class OverlayEngine {
   des::Rng* topo_ = nullptr;
   des::Rng* session_ = nullptr;
   des::Rng* query_ = nullptr;
-  TraceHook trace_;
   WarningSink warning_sink_;
-  double traffic_sample_period_s_ = 0.0;
-  std::vector<TrafficSample> traffic_samples_;
-  std::optional<metrics::TimeSeries> traffic_series_;
   std::uint64_t bootstrap_underfills_ = 0;
   bool underfill_reported_ = false;
 
@@ -975,6 +879,7 @@ class OverlayEngine {
   std::uint32_t current_span_ = 0;
   double heartbeat_period_s_ = 0.0;
   double heartbeat_wall_start_s_ = 0.0;
+  double next_heartbeat_ = 0.0;  ///< next boundary, in whole periods
 
   /// Snapshot state.  All empty/false on runs that never arm a snapshot,
   /// so the keyed scheduling variants reduce to the plain ones.

@@ -40,11 +40,11 @@ class SnapshotError : public std::runtime_error {
 
 /// "DSFSNAP\0" little-endian.
 inline constexpr std::uint64_t kMagic = 0x0050414E53465344ULL;
-inline constexpr std::uint32_t kVersion = 1;
+inline constexpr std::uint32_t kVersion = 2;
 
 enum class SectionId : std::uint32_t {
   kIdentity = 1,    ///< scenario name, population, seed
-  kEngineCore = 2,  ///< clock, RNG lanes, ledger, fault + sampling state
+  kEngineCore = 2,  ///< clock, RNG lanes, ledger, fault state, periodics
   kOverlay = 3,     ///< compact neighbor table (raw per-node lists)
   kEvents = 4,      ///< pending events as (time, kind, payload) records
   kDomain = 5,      ///< scenario-owned state (caches, stats, results)

@@ -244,50 +244,32 @@ void WebCacheSim::rebuild_digest(net::NodeId p) {
 
 WebCacheResult WebCacheSim::run() {
   // A resumed run takes its pending request events from the snapshot and
-  // must not draw the initial delays, but it still registers every periodic
-  // in the same order so indices line up with the file.
-  const bool fresh = !resumed();
+  // must not draw the initial delays; schedule_every skips its own start
+  // draws on a resumed run.
+  const auto uniform_below = [this](double period_s) {
+    return [this, period_s] { return rng().uniform(0.0, period_s); };
+  };
   for (net::NodeId p = 0; p < config_.num_proxies; ++p) {
     // Parents have no client population of their own; they serve (and are
     // warmed by) leaf misses only.
-    if (!is_parent(p) && fresh)
+    if (!is_parent(p) && !resumed())
       schedule_keyed_in(interrequest_.sample(rng()), kWebRequest, p, 0,
                         [this, p] { request(p); });
-    if (is_parent(p)) {
-      if (config_.digest_rebuild_period_s > 0.0) {
-        if (fresh)
-          schedule_every(rng().uniform(0.0, config_.digest_rebuild_period_s),
-                         config_.digest_rebuild_period_s,
-                         [this, p] { rebuild_digest(p); });
-        else
-          register_periodic(config_.digest_rebuild_period_s,
-                            [this, p] { rebuild_digest(p); });
-      }
-      continue;
+    if (!is_parent(p) && config_.dynamic) {
+      schedule_every(config_.explore_period_s,
+                     uniform_below(config_.explore_period_s),
+                     [this, p] { explore_from(p); });
+      schedule_every(config_.update_period_s,
+                     uniform_below(config_.update_period_s),
+                     [this, p] { update_neighbors(p); });
     }
-    if (config_.dynamic) {
-      if (fresh) {
-        schedule_every(rng().uniform(0.0, config_.explore_period_s),
-                       config_.explore_period_s,
-                       [this, p] { explore_from(p); });
-        schedule_every(rng().uniform(0.0, config_.update_period_s),
-                       config_.update_period_s,
-                       [this, p] { update_neighbors(p); });
-        if (config_.digest_rebuild_period_s > 0.0) {
-          schedule_every(rng().uniform(0.0, config_.digest_rebuild_period_s),
-                         config_.digest_rebuild_period_s,
-                         [this, p] { rebuild_digest(p); });
-        }
-      } else {
-        register_periodic(config_.explore_period_s,
-                          [this, p] { explore_from(p); });
-        register_periodic(config_.update_period_s,
-                          [this, p] { update_neighbors(p); });
-        if (config_.digest_rebuild_period_s > 0.0)
-          register_periodic(config_.digest_rebuild_period_s,
-                            [this, p] { rebuild_digest(p); });
-      }
-    }
+    // A parent keeps its digest fresh in either mode; a leaf only when the
+    // mesh adapts.
+    if ((is_parent(p) || config_.dynamic) &&
+        config_.digest_rebuild_period_s > 0.0)
+      schedule_every(config_.digest_rebuild_period_s,
+                     uniform_below(config_.digest_rebuild_period_s),
+                     [this, p] { rebuild_digest(p); });
   }
   run_until_horizon();
   result_.traffic = traffic();

@@ -34,8 +34,6 @@ class TestEngine : public OverlayEngine {
   using OverlayEngine::run_until_horizon;
   using OverlayEngine::sample_delay_s;
   using OverlayEngine::schedule_every;
-  using OverlayEngine::send;
-  using OverlayEngine::send_batch;
   using OverlayEngine::session_rng;
   using OverlayEngine::topo_rng;
   using OverlayEngine::warmup_s;
@@ -126,91 +124,10 @@ TEST(DefaultMessageBytes, EveryTypeHasAPositiveWireSize) {
         << "type " << i;
 }
 
-TEST(OverlayEngine, SendAccountsTracesAndDelivers) {
-  TestEngine e(small_config());
-  std::vector<TraceEvent> trace;
-  e.set_trace_hook([&](const TraceEvent& ev) { trace.push_back(ev); });
-
-  bool delivered = false;
-  e.send(0, 1, net::MessageType::kQuery, [&] { delivered = true; });
-
-  EXPECT_EQ(e.traffic().total(net::MessageType::kQuery), 1u);
-  EXPECT_EQ(e.ledger().bytes(net::MessageType::kQuery),
-            default_message_bytes(net::MessageType::kQuery));
-  ASSERT_EQ(trace.size(), 1u);
-  EXPECT_EQ(trace[0].kind, TraceKind::kSend);
-  EXPECT_EQ(trace[0].from, 0u);
-  EXPECT_EQ(trace[0].to, 1u);
-  EXPECT_EQ(trace[0].type, net::MessageType::kQuery);
-  EXPECT_EQ(trace[0].bytes, default_message_bytes(net::MessageType::kQuery));
-  EXPECT_EQ(trace[0].ttl, -1);  // send() traffic carries no hop budget
-
-  EXPECT_FALSE(delivered);
-  e.simulator().run();
-  EXPECT_TRUE(delivered);
-  EXPECT_GT(e.simulator().now(), 0.0);  // the delay sample was positive
-}
-
-TEST(OverlayEngine, SendBatchMatchesPerTargetSendExactly) {
-  // The batched fan-out is an accounting + scheduling shortcut, not a
-  // semantic change: with the same seed it must produce byte-identical
-  // ledger counts, trace streams, and delivery times as a per-target
-  // send() loop, because delays are sampled in target order either way.
-  const std::vector<net::NodeId> targets{1, 3, 5, 2, 7};
-
-  TestEngine a(small_config());
-  std::vector<TraceEvent> trace_a;
-  a.set_trace_hook([&](const TraceEvent& ev) { trace_a.push_back(ev); });
-  std::vector<std::pair<net::NodeId, double>> deliveries_a;
-  for (const auto to : targets)
-    a.send(0, to, net::MessageType::kQuery,
-           [&, to] { deliveries_a.emplace_back(to, a.simulator().now()); });
-  a.simulator().run();
-
-  TestEngine b(small_config());
-  std::vector<TraceEvent> trace_b;
-  b.set_trace_hook([&](const TraceEvent& ev) { trace_b.push_back(ev); });
-  std::vector<std::pair<net::NodeId, double>> deliveries_b;
-  b.send_batch(0, targets, net::MessageType::kQuery, [&](std::size_t i) {
-    const auto to = targets[i];
-    return [&, to] { deliveries_b.emplace_back(to, b.simulator().now()); };
-  });
-  b.simulator().run();
-
-  EXPECT_EQ(a.traffic().total(net::MessageType::kQuery), targets.size());
-  EXPECT_EQ(b.traffic().total(net::MessageType::kQuery), targets.size());
-  EXPECT_EQ(a.ledger().bytes(net::MessageType::kQuery),
-            b.ledger().bytes(net::MessageType::kQuery));
-
-  ASSERT_EQ(trace_a.size(), targets.size());
-  ASSERT_EQ(trace_b.size(), targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    EXPECT_EQ(trace_a[i].to, trace_b[i].to);
-    EXPECT_EQ(trace_a[i].type, trace_b[i].type);
-    EXPECT_EQ(trace_a[i].bytes, trace_b[i].bytes);
-  }
-
-  ASSERT_EQ(deliveries_a.size(), targets.size());
-  ASSERT_EQ(deliveries_b.size(), targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    EXPECT_EQ(deliveries_a[i].first, deliveries_b[i].first);
-    EXPECT_EQ(deliveries_a[i].second, deliveries_b[i].second);  // exact
-  }
-}
-
-TEST(OverlayEngine, SendBatchWithEmptyTargetListIsANoOp) {
-  TestEngine e(small_config());
-  const std::vector<net::NodeId> none;
-  e.send_batch(0, none, net::MessageType::kQuery,
-               [&](std::size_t) { return [] {}; });
-  EXPECT_EQ(e.traffic().total(net::MessageType::kQuery), 0u);
-  EXPECT_TRUE(e.simulator().queue().empty());
-}
-
 TEST(OverlayEngine, ScheduleEveryFiresAtFirstDelayThenEveryPeriod) {
   TestEngine e(small_config());
   std::vector<double> fire_times;
-  e.schedule_every(1.0, 2.0,
+  e.schedule_every(2.0, [] { return 1.0; },
                    [&] { fire_times.push_back(e.simulator().now()); });
   e.simulator().run_until(6.0);
   ASSERT_EQ(fire_times.size(), 3u);
@@ -300,24 +217,6 @@ TEST(OverlayEngine, DrawInitialOnlineWithNoChurnSelectsEveryNode) {
   const auto online = e.draw_initial_online(churn, e.rng());
   ASSERT_EQ(online.size(), e.num_nodes());
   for (net::NodeId u = 0; u < e.num_nodes(); ++u) EXPECT_EQ(online[u], u);
-}
-
-TEST(OverlayEngine, TrafficSamplingRecordsCumulativeCounts) {
-  TestEngine e(small_config());
-  e.set_traffic_sample_period(10.0);
-  // One query at t=0 and one more every 12 s via a periodic event.
-  e.count(net::MessageType::kQuery);
-  e.schedule_every(12.0, 12.0, [&] { e.count(net::MessageType::kQuery); });
-  e.run_until_horizon();  // 36 s horizon -> samples at 10, 20, 30
-
-  const auto& samples = e.traffic_samples();
-  ASSERT_EQ(samples.size(), 3u);
-  EXPECT_DOUBLE_EQ(samples[0].time_s, 10.0);
-  EXPECT_EQ(samples[0].messages, 1u);  // t=0 count only
-  EXPECT_EQ(samples[1].messages, 2u);  // + t=12
-  EXPECT_EQ(samples[2].messages, 3u);  // + t=24
-  EXPECT_GT(samples[2].bytes, samples[0].bytes);
-  ASSERT_TRUE(e.traffic_series().has_value());
 }
 
 TEST(OverlayEngine, ReportingFlipsAfterWarmup) {

@@ -1,6 +1,6 @@
 // Fault-injection layer: plan validation, the zero-draw guarantees that
 // make an armed-but-idle layer a true no-op, per-type drop/duplicate/
-// delay behaviour through the engine's unified send(), the crash model's
+// delay behaviour through the engine's transmit(), the crash model's
 // no-cleanup semantics, and small adversarial end-to-end runs of every
 // scenario simulator with the invariant checker attached.
 #include "sim/fault.h"
@@ -13,6 +13,7 @@
 
 #include "diglib/diglib_sim.h"
 #include "gnutella/simulation.h"
+#include "obs/ring_sink.h"
 #include "olap/olap_sim.h"
 #include "sim/engine.h"
 #include "sim/invariants.h"
@@ -26,10 +27,20 @@ class TestEngine : public OverlayEngine {
   explicit TestEngine(EngineConfig cfg) : OverlayEngine(std::move(cfg)) {}
 
   using OverlayEngine::begin_faulty_search;
+  using OverlayEngine::count;
   using OverlayEngine::fault_layer_active;
   using OverlayEngine::run_until_horizon;
-  using OverlayEngine::send;
   using OverlayEngine::transmit;
+
+  /// One copy sent the way the scenarios send it: count the send, resolve
+  /// its fate, and count the second copy when the plan duplicated it.
+  core::TransmitResult send_one(net::NodeId from, net::NodeId to,
+                                net::MessageType type, int ttl = -1) {
+    count(type);
+    const core::TransmitResult res = transmit(type, from, to, ttl);
+    if (res.duplicate) count(type);
+    return res;
+  }
 };
 
 EngineConfig small_config() {
@@ -164,7 +175,7 @@ TEST(FaultPlan, WindowBoundariesAreInclusiveStartExclusiveEnd) {
   EXPECT_NE(lane.state(), before_inside);
 }
 
-// --- per-type behaviour through the unified send() ------------------------
+// --- per-type behaviour through transmit() -------------------------------
 
 TEST(FaultLayer, DropsEveryTargetedTypeThroughSend) {
   for (int i = 0; i < net::kNumMessageTypes; ++i) {
@@ -177,11 +188,9 @@ TEST(FaultLayer, DropsEveryTargetedTypeThroughSend) {
     e.set_fault_plan(plan);
     ASSERT_TRUE(e.fault_layer_active());
 
-    bool delivered = false;
-    e.send(0, 1, type, [&] { delivered = true; });
-    e.simulator().run();
+    const auto res = e.send_one(0, 1, type);
 
-    EXPECT_FALSE(delivered) << net::to_string(type);
+    EXPECT_FALSE(res.deliver) << net::to_string(type);
     EXPECT_EQ(e.ledger().dropped(type), 1u) << net::to_string(type);
     EXPECT_EQ(e.ledger().delivered(type), 0u) << net::to_string(type);
     EXPECT_EQ(e.traffic().total(type), 1u) << net::to_string(type);
@@ -196,11 +205,10 @@ TEST(FaultLayer, DuplicatesDeliverTwiceAndCountTwice) {
   plan.set_rule(net::MessageType::kPing, r);
   e.set_fault_plan(plan);
 
-  int deliveries = 0;
-  e.send(0, 1, net::MessageType::kPing, [&] { ++deliveries; });
-  e.simulator().run();
+  const auto res = e.send_one(0, 1, net::MessageType::kPing);
 
-  EXPECT_EQ(deliveries, 2);
+  EXPECT_TRUE(res.deliver);
+  EXPECT_TRUE(res.duplicate);
   // Both copies were put on the wire and both arrived: conservation holds
   // with sent == delivered == 2.
   EXPECT_EQ(e.traffic().total(net::MessageType::kPing), 2u);
@@ -217,12 +225,10 @@ TEST(FaultLayer, ExtraDelayPostponesDelivery) {
   plan.set_rule(net::MessageType::kPong, r);
   e.set_fault_plan(plan);
 
-  double delivered_at = -1.0;
-  e.send(0, 1, net::MessageType::kPong,
-         [&] { delivered_at = e.simulator().now(); });
-  e.simulator().run();
+  const auto res = e.send_one(0, 1, net::MessageType::kPong);
 
-  EXPECT_GE(delivered_at, 5.0) << "extra delay was not applied";
+  EXPECT_TRUE(res.deliver);
+  EXPECT_DOUBLE_EQ(res.extra_delay_s, 5.0) << "extra delay was not applied";
   EXPECT_EQ(e.ledger().delivered(net::MessageType::kPong), 1u);
 }
 
@@ -261,11 +267,10 @@ TEST(FaultLayer, CrashedPeerDropsArrivingCopies) {
   e.crash_node(1);  // idempotent: a dead peer cannot crash again
   EXPECT_EQ(e.crashes(), 1u);
 
-  bool delivered = false;
-  e.send(0, 1, net::MessageType::kQuery, [&] { delivered = true; });
-  e.simulator().run();
+  e.begin_faulty_search(3);
+  const auto res = e.send_one(0, 1, net::MessageType::kQuery, 3);
 
-  EXPECT_FALSE(delivered);
+  EXPECT_FALSE(res.deliver);
   EXPECT_EQ(e.ledger().dropped(net::MessageType::kQuery), 1u);
   // The checker saw the crash and the drop — and no dead delivery.
   EXPECT_EQ(checker.crashes_seen(), 1u);
@@ -291,10 +296,8 @@ TEST(FaultLayer, CrashModelSchedulesPoissonCrashes) {
 TEST(FaultLayer, CrashWindowConfinesCrashes) {
   auto cfg = small_config();
   TestEngine e(cfg);
-  std::vector<double> crash_times;
-  e.set_trace_hook([&](const TraceEvent& ev) {
-    if (ev.kind == TraceKind::kCrash) crash_times.push_back(ev.time_s);
-  });
+  obs::RingSink ring;
+  e.set_trace_sink(&ring);
   CrashModel crashes;
   crashes.rate_per_hour = 60.0;
   crashes.start_s = 1000.0;
@@ -302,6 +305,9 @@ TEST(FaultLayer, CrashWindowConfinesCrashes) {
   e.set_crash_model(crashes);
   e.run_until_horizon();
 
+  std::vector<double> crash_times;
+  for (const obs::Record& r : ring.snapshot())
+    if (r.kind == obs::RecordKind::kPeerCrash) crash_times.push_back(r.time_s);
   ASSERT_FALSE(crash_times.empty());
   for (double t : crash_times) {
     EXPECT_GE(t, 1000.0);

@@ -4,11 +4,15 @@
 // rides the same traced transmit path as the fault layer but never draws
 // from any RNG lane, so even a fully armed RingSink cannot move a single
 // counter.  The NullSink variant additionally proves the disabled sink
-// collapses to the plain path (set_trace_sink drops it to nullptr).
+// collapses to the plain path (set_trace_sink drops it to nullptr), and
+// the heartbeat variant proves a periodic pulse adds records but no event.
 //
 // Full golden configurations (same as determinism_test.cpp), so this file
 // lives in the slow suite.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
 
 #include "obs/ring_sink.h"
 #include "obs/sink.h"
@@ -39,6 +43,26 @@ void expect_tracing_is_noop(const Config& config) {
   const auto traced = fingerprint(traced_sim.run());
   EXPECT_EQ(baseline.value(), traced.value()) << "RingSink perturbed the run";
   EXPECT_GT(ring.total(), 0u) << "sink attached but nothing was recorded";
+
+  // A heartbeat is recorded between run segments, never scheduled: it adds
+  // one record per period boundary and moves no metric.  The ring is sized
+  // to hold the whole run, so every pulse is still there to count.
+  const double period_s = 600.0;
+  const auto pulses = static_cast<std::uint64_t>(
+      std::floor(config.sim_hours * 3600.0 / period_s));
+  obs::RingSink hb_ring(static_cast<std::size_t>(ring.total() + pulses));
+  Sim hb_sim(config);
+  hb_sim.set_trace_sink(&hb_ring);
+  hb_sim.set_heartbeat_period(period_s);
+  const auto with_heartbeat = fingerprint(hb_sim.run());
+  EXPECT_EQ(baseline.value(), with_heartbeat.value())
+      << "the heartbeat perturbed the run";
+  ASSERT_EQ(hb_ring.overwritten(), 0u);
+  std::uint64_t heartbeats = 0;
+  for (const obs::Record& r : hb_ring.snapshot())
+    if (r.kind == obs::RecordKind::kHeartbeat) ++heartbeats;
+  EXPECT_EQ(heartbeats, pulses);
+  EXPECT_EQ(hb_ring.total(), ring.total() + pulses);
 }
 
 TEST(TraceGolden, GnutellaTracedRunMatchesBaseline) {

@@ -147,11 +147,26 @@ TEST_F(CorruptSnapshotTest, WrongMagic) {
   expect_rejected(bytes, "magic");
 }
 
+/// Overwrites the header's u32 version (little-endian, after the magic).
+void stamp_version(std::vector<unsigned char>& bytes, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i)
+    bytes[8 + static_cast<std::size_t>(i)] =
+        static_cast<unsigned char>(v >> (8 * i));
+}
+
 TEST_F(CorruptSnapshotTest, FutureVersionIsRejectedForward) {
   auto bytes = *good_bytes_;
-  bytes[8] = 2;  // version u32 little-endian: v2 reader required
-  bytes[9] = bytes[10] = bytes[11] = 0;
+  stamp_version(bytes, snap::kVersion + 1);
   expect_rejected(bytes, "version");
+}
+
+TEST_F(CorruptSnapshotTest, VersionOneIsRejected) {
+  // Version 1 engine-core sections carried traffic-sampling fields that
+  // version 2 no longer reads; such a file must fail closed, not misparse.
+  auto bytes = *good_bytes_;
+  ASSERT_EQ(read_u32(bytes, 8), snap::kVersion);
+  stamp_version(bytes, 1);
+  expect_rejected(bytes, "version1");
 }
 
 TEST_F(CorruptSnapshotTest, TruncatedHeader) {

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -25,6 +26,7 @@
 
 #include "../sim/sim_fingerprints.h"
 #include "load/schedule.h"
+#include "obs/ring_sink.h"
 #include "sim/fault.h"
 
 namespace dsf {
@@ -245,6 +247,41 @@ TEST(ResumeDifferential, EventsExecutedContinuesAcrossResume) {
   resumer.load_snapshot(path);
   EXPECT_EQ(straight.events_executed, resumer.run().events_executed);
   std::remove(path.c_str());
+}
+
+TEST(ResumeDifferential, HeartbeatStaysOutOfTheCheckpoint) {
+  // A heartbeat is an observation: it takes no periodic slot, so a run
+  // saved with one resumes without it, and a plain checkpoint resumes with
+  // one.  Every leg must match the straight run.  With the recorder on
+  // both sides, the heartbeat must not change a byte of the file either.
+  const gnutella::Config cfg = small_gnutella();
+  const std::string dir = ::testing::TempDir();
+  const std::uint64_t straight_fp =
+      fingerprint(gnutella::Simulation(cfg).run()).value();
+  const auto run = [&cfg](const std::string& save, const std::string& load,
+                          obs::RingSink* ring, double heartbeat_s) {
+    gnutella::Simulation sim(cfg);
+    if (!load.empty()) sim.load_snapshot(load);
+    if (!save.empty()) sim.request_snapshot_save(save, 3600.0);
+    if (ring != nullptr) sim.set_trace_sink(ring);
+    if (heartbeat_s > 0.0) sim.set_heartbeat_period(heartbeat_s);
+    return fingerprint(sim.run()).value();
+  };
+  obs::RingSink ring;
+  const std::string beat = dir + "dsf_heartbeat_on.snap";
+  const std::string plain = dir + "dsf_heartbeat_off.snap";
+  const std::string traced = dir + "dsf_heartbeat_traced.snap";
+  EXPECT_EQ(straight_fp, run(beat, "", &ring, 600.0));
+  EXPECT_EQ(straight_fp, run("", beat, nullptr, 0.0))
+      << "a checkpoint saved with a heartbeat did not resume without one";
+  EXPECT_EQ(straight_fp, run(plain, "", nullptr, 0.0));
+  EXPECT_EQ(straight_fp, run("", plain, &ring, 600.0))
+      << "a plain checkpoint did not resume with a heartbeat";
+  EXPECT_EQ(straight_fp, run(traced, "", &ring, 0.0));
+  EXPECT_EQ(slurp(beat), slurp(traced))
+      << "the heartbeat changed the checkpoint's bytes";
+  for (const std::string& path : {beat, plain, traced})
+    std::remove(path.c_str());
 }
 
 TEST(ResumeDifferential, MisuseIsRejected) {

@@ -23,7 +23,7 @@
 //                            (chrome://tracing, Perfetto)
 //   --trace-spans            print the per-search span summary table
 //   --heartbeat S            emit a progress heartbeat every S sim-seconds
-//                            (changes event ordering; off by default)
+//                            (off by default; needs --trace ring)
 //
 // Every scenario also accepts the snapshot group (mutually exclusive with
 // open-loop load, the adversary group and --capture-trace; exit 2):
@@ -173,8 +173,7 @@ cli::FlagRegistry make_registry() {
       .add_string("trace-out", "", "export the ring as Chrome trace JSON")
       .add_bool("trace-spans", false, "print the per-search span table")
       .add_double("heartbeat", 0.0,
-                  "heartbeat period in sim-seconds (0: off; note: "
-                  "scheduling heartbeats changes event ordering)");
+                  "heartbeat period in sim-seconds (0: off)");
 
   register_fault_flags(reg);
   register_adversary_flags(reg);
@@ -489,6 +488,51 @@ struct LoadContext {
   }
 };
 
+/// The five flag-group contexts every scenario run shares.  Members are
+/// constructed in declaration order, which is also the order their flag
+/// errors surface in; arm() applies them in the order the engine needs
+/// (a snapshot load before anything else).
+struct RunHarness {
+  FaultContext fault;
+  AdversaryContext adv;
+  TraceContext trace;
+  SnapshotContext snap;
+  LoadContext loadgen;
+
+  explicit RunHarness(const cli::FlagRegistry& reg)
+      : fault(reg), adv(reg), trace(reg), snap(reg), loadgen(reg) {}
+
+  void arm(sim::OverlayEngine& engine, double sim_hours) {
+    snap.arm(engine);
+    loadgen.arm(engine, sim_hours);
+    adv.arm(engine, fault);
+    fault.arm(engine);
+    trace.arm(engine);
+  }
+
+  /// Prints the scenario's record (`out` as JSON, or `print_text()` for
+  /// the text line) plus the open-loop block, then finishes every context.
+  /// Exit code: an adversary-check violation wins, then a fault-check
+  /// violation, then a trace export failure.
+  template <typename PrintText>
+  int report(const sim::OverlayEngine& engine, bool json,
+             metrics::JsonValue out, double measure_s,
+             PrintText&& print_text) {
+    if (json) {
+      if (loadgen.enabled) out.set("load", loadgen.json(engine, measure_s));
+      out.write(std::cout);
+      std::cout << '\n';
+    } else {
+      print_text();
+      if (loadgen.enabled) loadgen.print(engine, measure_s);
+    }
+    const int trc = trace.finish();
+    const int arc = adv.finish(engine, fault.checker);
+    const int frc = fault.finish(engine);
+    return arc ? arc : (frc ? frc : trc);
+  }
+};
+
 /// Parses and cross-validates the ranked-query flag group: scheme-specific
 /// flags are rejected unless their scheme is selected, and each value is
 /// range-checked.  Every violation is a typed FlagError (usage exit 2).
@@ -539,53 +583,36 @@ int run_gnutella(const cli::FlagRegistry& reg, bool json) {
   c.library_growth = reg.get_bool("library-growth");
   c.exclude_owned_songs = reg.get_bool("exclude-owned");
 
-  FaultContext fault(reg);
-  AdversaryContext adv(reg);
-  TraceContext trace(reg);
-  SnapshotContext snap(reg);
-  LoadContext loadgen(reg);
+  RunHarness harness(reg);
   gnutella::Simulation sim(c);
-  snap.arm(sim);
-  loadgen.arm(sim, c.sim_hours);
-  adv.arm(sim, fault);
-  fault.arm(sim);
-  trace.arm(sim);
+  harness.arm(sim, c.sim_hours);
   const auto r = sim.run();
-  const double measure_s = (c.sim_hours - c.warmup_hours) * 3600.0;
-  if (json) {
-    metrics::JsonValue out = metrics::JsonValue::object();
-    out.set("scenario", metrics::JsonValue::string("gnutella"))
-        .set("dynamic", metrics::JsonValue::boolean(c.dynamic))
-        .set("search_scheme",
-             metrics::JsonValue::string(sim::to_string(c.search_strategy)))
-        .set("hops", metrics::JsonValue::number(std::int64_t{c.max_hops}))
-        .set("queries", metrics::JsonValue::number(r.queries_issued))
-        .set("hits", metrics::JsonValue::number(r.total_hits()))
-        .set("results", metrics::JsonValue::number(r.total_results()))
-        .set("messages", metrics::JsonValue::number(r.total_messages()))
-        .set("control_messages",
-             metrics::JsonValue::number(r.traffic.control_traffic()))
-        .set("mean_first_result_delay_ms",
-             metrics::JsonValue::number(r.first_result_delay_s.mean() * 1e3))
-        .set("reconfigurations", metrics::JsonValue::number(r.reconfigurations))
-        .set("evictions", metrics::JsonValue::number(r.evictions));
-    if (loadgen.enabled) out.set("load", loadgen.json(sim, measure_s));
-    out.write(std::cout);
-    std::cout << '\n';
-  } else {
-    std::printf("gnutella (%s, hops=%d): %llu queries, %llu hits, "
-                "%llu messages, %.0f ms mean first result\n",
-                c.dynamic ? "dynamic" : "static", c.max_hops,
-                static_cast<unsigned long long>(r.queries_issued),
-                static_cast<unsigned long long>(r.total_hits()),
-                static_cast<unsigned long long>(r.total_messages()),
-                r.first_result_delay_s.mean() * 1e3);
-    if (loadgen.enabled) loadgen.print(sim, measure_s);
-  }
-  const int trc = trace.finish();
-  const int arc = adv.finish(sim, fault.checker);
-  const int frc = fault.finish(sim);
-  return arc ? arc : (frc ? frc : trc);
+  metrics::JsonValue out = metrics::JsonValue::object();
+  out.set("scenario", metrics::JsonValue::string("gnutella"))
+      .set("dynamic", metrics::JsonValue::boolean(c.dynamic))
+      .set("search_scheme",
+           metrics::JsonValue::string(sim::to_string(c.search_strategy)))
+      .set("hops", metrics::JsonValue::number(std::int64_t{c.max_hops}))
+      .set("queries", metrics::JsonValue::number(r.queries_issued))
+      .set("hits", metrics::JsonValue::number(r.total_hits()))
+      .set("results", metrics::JsonValue::number(r.total_results()))
+      .set("messages", metrics::JsonValue::number(r.total_messages()))
+      .set("control_messages",
+           metrics::JsonValue::number(r.traffic.control_traffic()))
+      .set("mean_first_result_delay_ms",
+           metrics::JsonValue::number(r.first_result_delay_s.mean() * 1e3))
+      .set("reconfigurations", metrics::JsonValue::number(r.reconfigurations))
+      .set("evictions", metrics::JsonValue::number(r.evictions));
+  return harness.report(
+      sim, json, std::move(out), (c.sim_hours - c.warmup_hours) * 3600.0, [&] {
+        std::printf("gnutella (%s, hops=%d): %llu queries, %llu hits, "
+                    "%llu messages, %.0f ms mean first result\n",
+                    c.dynamic ? "dynamic" : "static", c.max_hops,
+                    static_cast<unsigned long long>(r.queries_issued),
+                    static_cast<unsigned long long>(r.total_hits()),
+                    static_cast<unsigned long long>(r.total_messages()),
+                    r.first_result_delay_s.mean() * 1e3);
+      });
 }
 
 int run_webcache(const cli::FlagRegistry& reg, bool json) {
@@ -595,45 +622,28 @@ int run_webcache(const cli::FlagRegistry& reg, bool json) {
   c.sim_hours = double_or(reg, "hours", c.sim_hours);
   c.seed = static_cast<std::uint64_t>(int_or(reg, "seed", 7));
 
-  FaultContext fault(reg);
-  AdversaryContext adv(reg);
-  TraceContext trace(reg);
-  SnapshotContext snap(reg);
-  LoadContext loadgen(reg);
+  RunHarness harness(reg);
   webcache::WebCacheSim sim(c);
-  snap.arm(sim);
-  loadgen.arm(sim, c.sim_hours);
-  adv.arm(sim, fault);
-  fault.arm(sim);
-  trace.arm(sim);
+  harness.arm(sim, c.sim_hours);
   const auto r = sim.run();
-  const double measure_s = (c.sim_hours - c.warmup_hours) * 3600.0;
-  if (json) {
-    metrics::JsonValue out = metrics::JsonValue::object();
-    out.set("scenario", metrics::JsonValue::string("webcache"))
-        .set("dynamic", metrics::JsonValue::boolean(c.dynamic))
-        .set("requests", metrics::JsonValue::number(r.requests))
-        .set("local_hit_rate", metrics::JsonValue::number(r.local_hit_rate()))
-        .set("neighbor_hit_rate",
-             metrics::JsonValue::number(r.neighbor_hit_rate()))
-        .set("mean_latency_ms",
-             metrics::JsonValue::number(r.latency_s.mean() * 1e3));
-    if (loadgen.enabled) out.set("load", loadgen.json(sim, measure_s));
-    out.write(std::cout);
-    std::cout << '\n';
-  } else {
-    std::printf("webcache (%s): %llu requests, %.1f%% local, %.1f%% "
-                "neighbor-of-miss, %.0f ms mean latency\n",
-                c.dynamic ? "dynamic" : "static",
-                static_cast<unsigned long long>(r.requests),
-                r.local_hit_rate() * 100, r.neighbor_hit_rate() * 100,
-                r.latency_s.mean() * 1e3);
-    if (loadgen.enabled) loadgen.print(sim, measure_s);
-  }
-  const int trc = trace.finish();
-  const int arc = adv.finish(sim, fault.checker);
-  const int frc = fault.finish(sim);
-  return arc ? arc : (frc ? frc : trc);
+  metrics::JsonValue out = metrics::JsonValue::object();
+  out.set("scenario", metrics::JsonValue::string("webcache"))
+      .set("dynamic", metrics::JsonValue::boolean(c.dynamic))
+      .set("requests", metrics::JsonValue::number(r.requests))
+      .set("local_hit_rate", metrics::JsonValue::number(r.local_hit_rate()))
+      .set("neighbor_hit_rate",
+           metrics::JsonValue::number(r.neighbor_hit_rate()))
+      .set("mean_latency_ms",
+           metrics::JsonValue::number(r.latency_s.mean() * 1e3));
+  return harness.report(
+      sim, json, std::move(out), (c.sim_hours - c.warmup_hours) * 3600.0, [&] {
+        std::printf("webcache (%s): %llu requests, %.1f%% local, %.1f%% "
+                    "neighbor-of-miss, %.0f ms mean latency\n",
+                    c.dynamic ? "dynamic" : "static",
+                    static_cast<unsigned long long>(r.requests),
+                    r.local_hit_rate() * 100, r.neighbor_hit_rate() * 100,
+                    r.latency_s.mean() * 1e3);
+      });
 }
 
 int run_olap(const cli::FlagRegistry& reg, bool json) {
@@ -643,42 +653,25 @@ int run_olap(const cli::FlagRegistry& reg, bool json) {
   c.sim_hours = double_or(reg, "hours", c.sim_hours);
   c.seed = static_cast<std::uint64_t>(int_or(reg, "seed", 11));
 
-  FaultContext fault(reg);
-  AdversaryContext adv(reg);
-  TraceContext trace(reg);
-  SnapshotContext snap(reg);
-  LoadContext loadgen(reg);
+  RunHarness harness(reg);
   olap::OlapSim sim(c);
-  snap.arm(sim);
-  loadgen.arm(sim, c.sim_hours);
-  adv.arm(sim, fault);
-  fault.arm(sim);
-  trace.arm(sim);
+  harness.arm(sim, c.sim_hours);
   const auto r = sim.run();
-  const double measure_s = (c.sim_hours - c.warmup_hours) * 3600.0;
-  if (json) {
-    metrics::JsonValue out = metrics::JsonValue::object();
-    out.set("scenario", metrics::JsonValue::string("olap"))
-        .set("dynamic", metrics::JsonValue::boolean(c.dynamic))
-        .set("queries", metrics::JsonValue::number(r.queries))
-        .set("peer_hit_rate", metrics::JsonValue::number(r.peer_hit_rate()))
-        .set("mean_response_s",
-             metrics::JsonValue::number(r.response_time_s.mean()));
-    if (loadgen.enabled) out.set("load", loadgen.json(sim, measure_s));
-    out.write(std::cout);
-    std::cout << '\n';
-  } else {
-    std::printf("olap (%s): %llu queries, %.1f%% peer hits, %.2f s mean "
-                "response\n",
-                c.dynamic ? "dynamic" : "static",
-                static_cast<unsigned long long>(r.queries),
-                r.peer_hit_rate() * 100, r.response_time_s.mean());
-    if (loadgen.enabled) loadgen.print(sim, measure_s);
-  }
-  const int trc = trace.finish();
-  const int arc = adv.finish(sim, fault.checker);
-  const int frc = fault.finish(sim);
-  return arc ? arc : (frc ? frc : trc);
+  metrics::JsonValue out = metrics::JsonValue::object();
+  out.set("scenario", metrics::JsonValue::string("olap"))
+      .set("dynamic", metrics::JsonValue::boolean(c.dynamic))
+      .set("queries", metrics::JsonValue::number(r.queries))
+      .set("peer_hit_rate", metrics::JsonValue::number(r.peer_hit_rate()))
+      .set("mean_response_s",
+           metrics::JsonValue::number(r.response_time_s.mean()));
+  return harness.report(
+      sim, json, std::move(out), (c.sim_hours - c.warmup_hours) * 3600.0, [&] {
+        std::printf("olap (%s): %llu queries, %.1f%% peer hits, %.2f s mean "
+                    "response\n",
+                    c.dynamic ? "dynamic" : "static",
+                    static_cast<unsigned long long>(r.queries),
+                    r.peer_hit_rate() * 100, r.response_time_s.mean());
+      });
 }
 
 int run_diglib(const cli::FlagRegistry& reg, bool json) {
@@ -704,45 +697,28 @@ int run_diglib(const cli::FlagRegistry& reg, bool json) {
   c.search_strategy = scheme;
   c.top_k = static_cast<std::uint32_t>(reg.get_int("top-k"));
 
-  FaultContext fault(reg);
-  AdversaryContext adv(reg);
-  TraceContext trace(reg);
-  SnapshotContext snap(reg);
-  LoadContext loadgen(reg);
+  RunHarness harness(reg);
   diglib::DigLibSim sim(c);
-  snap.arm(sim);
-  loadgen.arm(sim, c.sim_hours);
-  adv.arm(sim, fault);
-  fault.arm(sim);
-  trace.arm(sim);
+  harness.arm(sim, c.sim_hours);
   const auto r = sim.run();
-  const double measure_s = (c.sim_hours - c.warmup_hours) * 3600.0;
-  if (json) {
-    metrics::JsonValue out = metrics::JsonValue::object();
-    out.set("scenario", metrics::JsonValue::string("diglib"))
-        .set("mode", metrics::JsonValue::string(mode))
-        .set("search_scheme",
-             metrics::JsonValue::string(sim::to_string(c.search_strategy)))
-        .set("queries", metrics::JsonValue::number(r.queries))
-        .set("hit_rate", metrics::JsonValue::number(r.hit_rate()))
-        .set("recall", metrics::JsonValue::number(r.recall()))
-        .set("messages_per_query",
-             metrics::JsonValue::number(r.messages_per_query.mean()));
-    if (loadgen.enabled) out.set("load", loadgen.json(sim, measure_s));
-    out.write(std::cout);
-    std::cout << '\n';
-  } else {
-    std::printf("diglib (%s): %llu queries, %.1f%% hit rate, recall %.3f, "
-                "%.1f msgs/query\n",
-                mode.c_str(), static_cast<unsigned long long>(r.queries),
-                r.hit_rate() * 100, r.recall(),
-                r.messages_per_query.mean());
-    if (loadgen.enabled) loadgen.print(sim, measure_s);
-  }
-  const int trc = trace.finish();
-  const int arc = adv.finish(sim, fault.checker);
-  const int frc = fault.finish(sim);
-  return arc ? arc : (frc ? frc : trc);
+  metrics::JsonValue out = metrics::JsonValue::object();
+  out.set("scenario", metrics::JsonValue::string("diglib"))
+      .set("mode", metrics::JsonValue::string(mode))
+      .set("search_scheme",
+           metrics::JsonValue::string(sim::to_string(c.search_strategy)))
+      .set("queries", metrics::JsonValue::number(r.queries))
+      .set("hit_rate", metrics::JsonValue::number(r.hit_rate()))
+      .set("recall", metrics::JsonValue::number(r.recall()))
+      .set("messages_per_query",
+           metrics::JsonValue::number(r.messages_per_query.mean()));
+  return harness.report(
+      sim, json, std::move(out), (c.sim_hours - c.warmup_hours) * 3600.0, [&] {
+        std::printf("diglib (%s): %llu queries, %.1f%% hit rate, recall %.3f, "
+                    "%.1f msgs/query\n",
+                    mode.c_str(), static_cast<unsigned long long>(r.queries),
+                    r.hit_rate() * 100, r.recall(),
+                    r.messages_per_query.mean());
+      });
 }
 
 }  // namespace
