@@ -112,7 +112,7 @@ void BM_FloodSearch(benchmark::State& state) {
         },
         [&](net::NodeId x) { return static_cast<bool>(holder[x]); },
         [&](net::NodeId, net::NodeId) { return delay_rng.uniform(); },
-        stamps, scratch);
+        core::ReliableTransmit{}, stamps, scratch);
     benchmark::DoNotOptimize(out.query_messages);
     initiator = (initiator + 1) % n;
   }

@@ -189,7 +189,7 @@ Result run_flood_fanout(std::uint64_t floods) {
         [&](dsf::net::NodeId, dsf::net::NodeId) {
           return delay_rng.uniform();
         },
-        stamps, scratch);
+        dsf::core::ReliableTransmit{}, stamps, scratch);
     messages += out.query_messages;
     initiator = (initiator + 1) % n;
   }

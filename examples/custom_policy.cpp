@@ -79,7 +79,8 @@ int main() {
             return overlay.out_neighbors(n);
           },
           [&](net::NodeId n) { return docs[n].count(doc) != 0; },
-          [](net::NodeId, net::NodeId) { return 0.05; }, stamps, scratch);
+          [](net::NodeId, net::NodeId) { return 0.05; },
+          core::ReliableTransmit{}, stamps, scratch);
       round_hits += out.satisfied();
       for (const auto& hit : out.hits) {
         core::ResultInfo info;

@@ -7,7 +7,9 @@
 // hit sets and reply times.  The eager version is what the experiment
 // harness uses (it is ~50× faster); this one is the ground truth the
 // equivalence tests compare against, and a template for users who need
-// queries that interact mid-flight.
+// queries that interact mid-flight.  It models a reliable network only,
+// so it takes no transport: the tests compare it with flood_search under
+// core::ReliableTransmit.
 //
 // The fan-out follows the batched DES dispatch contract (DESIGN.md §1.5):
 // one node's expansion counts and stamps every neighbor first, then issues

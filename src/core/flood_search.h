@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "core/visit_stamp.h"
@@ -20,9 +19,9 @@ struct TransmitResult {
   double extra_delay_s = 0.0; ///< congestion delay added to propagation
 };
 
-/// The no-op transport policy: every transmission succeeds.  Passing this
-/// to the transmit-aware searches compiles down to the historical
-/// fault-free bodies, so the reliable overloads stay bit-identical.
+/// The no-op transport policy: every transmission succeeds.  Every search
+/// names its transport; passing this one compiles the searches down to
+/// their fault-free bodies.
 struct ReliableTransmit {
   /// Called once per search (or per iterative-deepening cycle) with the
   /// cycle's hop budget, before any transmission is attempted.
@@ -150,9 +149,8 @@ struct SearchScratch {
 ///    is the remaining hop budget carried by a query, -1 for replies.
 ///
 /// With ReliableTransmit every TransmitResult is the default, the extra
-/// delay terms add exactly 0.0, and the body reduces to the historical
-/// fault-free flood — the reliable overload below delegates here and
-/// replays byte-identically.
+/// delay terms add exactly 0.0, and the body reduces to the fault-free
+/// flood.
 template <typename NeighborsFn, typename HasContentFn, typename DelayFn,
           typename TransmitFn>
 SearchOutcome flood_search(net::NodeId initiator, const SearchParams& params,
@@ -207,18 +205,6 @@ SearchOutcome flood_search(net::NodeId initiator, const SearchParams& params,
     }
   }
   return out;
-}
-
-/// Reliable-network flood (the historical entry point).
-template <typename NeighborsFn, typename HasContentFn, typename DelayFn>
-SearchOutcome flood_search(net::NodeId initiator, const SearchParams& params,
-                           NeighborsFn&& neighbors, HasContentFn&& has_content,
-                           DelayFn&& delay, VisitStamp& stamps,
-                           SearchScratch& scratch) {
-  ReliableTransmit reliable;
-  return flood_search(initiator, params, std::forward<NeighborsFn>(neighbors),
-                      std::forward<HasContentFn>(has_content),
-                      std::forward<DelayFn>(delay), reliable, stamps, scratch);
 }
 
 }  // namespace dsf::core

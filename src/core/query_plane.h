@@ -120,10 +120,9 @@ struct SearchContext {
   SearchScratch* scratch = nullptr;
 };
 
-/// Builds an exact-match context.  This builder subsumes the historical
-/// reliable-transmit overload pair: pass core::ReliableTransmit{} (or let
-/// the engine's search_transmit() collapse the fault/no-fault branch) —
-/// there is exactly one entry point either way.
+/// Builds an exact-match context.  The transport is always named: pass
+/// core::ReliableTransmit{}, or the engine's search_transmit(), which
+/// decides once per search whether copies' fates need resolving.
 template <typename NeighborsFn, typename HasContentFn, typename DelayFn,
           typename TransmitFn>
 auto make_search_context(net::NodeId initiator, NeighborsFn neighbors,

@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/flood_search.h"
@@ -68,19 +67,6 @@ IterativeOutcome iterative_deepening_search(
   return out;
 }
 
-template <typename NeighborsFn, typename HasContentFn, typename DelayFn>
-IterativeOutcome iterative_deepening_search(
-    net::NodeId initiator, const SearchParams& base,
-    const std::vector<int>& depths, NeighborsFn&& neighbors,
-    HasContentFn&& has_content, DelayFn&& delay, VisitStamp& stamps,
-    SearchScratch& scratch) {
-  ReliableTransmit reliable;
-  return iterative_deepening_search(
-      initiator, base, depths, std::forward<NeighborsFn>(neighbors),
-      std::forward<HasContentFn>(has_content), std::forward<DelayFn>(delay),
-      reliable, stamps, scratch);
-}
-
 /// Builds the canonical depth ladder for a hop budget `max_hops`:
 /// {ceil(h/2), h} — one cheap probe of the near neighborhood, then the
 /// full-depth flood.  For h <= 1 a single cycle.
@@ -111,22 +97,6 @@ SearchOutcome directed_flood_search(
   };
   return flood_search(initiator, params, patched, has_content, delay,
                       transmit, stamps, scratch);
-}
-
-template <typename NeighborsFn, typename HasContentFn, typename DelayFn>
-SearchOutcome directed_flood_search(net::NodeId initiator,
-                                    const SearchParams& params,
-                                    const std::vector<net::NodeId>& subset,
-                                    NeighborsFn&& neighbors,
-                                    HasContentFn&& has_content,
-                                    DelayFn&& delay, VisitStamp& stamps,
-                                    SearchScratch& scratch) {
-  ReliableTransmit reliable;
-  return directed_flood_search(initiator, params, subset,
-                               std::forward<NeighborsFn>(neighbors),
-                               std::forward<HasContentFn>(has_content),
-                               std::forward<DelayFn>(delay), reliable, stamps,
-                               scratch);
 }
 
 /// Local indices with radius 1: every visited node answers for itself AND
@@ -208,21 +178,6 @@ SearchOutcome indexed_flood_search(net::NodeId initiator,
     }
   }
   return out;
-}
-
-template <typename NeighborsFn, typename HasContentFn, typename DelayFn>
-SearchOutcome indexed_flood_search(net::NodeId initiator,
-                                   const SearchParams& params,
-                                   NeighborsFn&& neighbors,
-                                   HasContentFn&& has_content, DelayFn&& delay,
-                                   VisitStamp& stamps, VisitStamp& hit_stamps,
-                                   SearchScratch& scratch) {
-  ReliableTransmit reliable;
-  return indexed_flood_search(initiator, params,
-                              std::forward<NeighborsFn>(neighbors),
-                              std::forward<HasContentFn>(has_content),
-                              std::forward<DelayFn>(delay), reliable, stamps,
-                              hit_stamps, scratch);
 }
 
 }  // namespace dsf::core

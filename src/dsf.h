@@ -25,7 +25,7 @@
 //     olap::OlapSim, diglib::DigLibSim — construct from a Config, call
 //     run(), read the result struct.
 //   * build your own repository type: start from examples/custom_policy.cpp
-//     and the five core primitives (NeighborTable, flood_search, explore,
+//     and the four core primitives (NeighborTable, flood_search,
 //     StatsStore, plan_update/decide_invitation).
 
 // Substrates
@@ -48,7 +48,6 @@
 // The framework
 #include "core/benefit.h"
 #include "core/event_flood.h"
-#include "core/exploration.h"
 #include "core/flood_search.h"
 #include "core/graph_stats.h"
 #include "core/relations.h"

@@ -274,20 +274,10 @@ void Simulation::issue_query(net::NodeId u) {
 
   capture_query_arrival(u, song);
 
-  core::SearchParams params;
-  params.max_hops = config_.max_hops;
-  params.forward_when_hit = false;  // §4.1: repliers do not propagate
-  params.timeout_s = config_.query_timeout_s;
-
-  const std::uint32_t span = obs_search_begin(u, params.max_hops, song);
-  const auto outcome = run_search(u, song, params);
-  finish_search(span, u, params, outcome);
-
+  const auto outcome = search_network(u, song);
   const des::SimTime now = now_s();
   RunResult& out = result_;
   out.messages.add(now, outcome.query_messages);
-  count(net::MessageType::kQuery, outcome.query_messages);
-  count(net::MessageType::kQueryReply, outcome.reply_messages);
   if (reporting()) {
     ++out.queries_issued;
     out.nodes_reached.add(outcome.nodes_reached);
@@ -311,26 +301,7 @@ void Simulation::issue_query(net::NodeId u) {
     if (config_.library_growth) libraries_.add(u, song);
   }
 
-  if (config_.dynamic) {
-    // Combined search & exploration (§4.1): every result feeds statistics.
-    const auto total = static_cast<std::uint32_t>(outcome.hits.size());
-    for (const auto& hit : outcome.hits) {
-      core::ResultInfo info;
-      info.responder = hit.node;
-      info.bandwidth_kbps = config_.benefit_bandwidth_weights[static_cast<int>(
-          delay_.node_class(hit.node))];
-      info.latency_s = hit.reply_at_s;
-      info.total_results = total;
-      st.stats.add(hit.node,
-                   benefit_of(info) * adversary_benefit_weight(hit.node));
-    }
-    if (config_.reconfig_threshold > 0 &&
-        ++hot_[u].reconfig_count >= config_.reconfig_threshold) {
-      reconfigure(u);
-      hot_[u].reconfig_count = 0;
-    }
-  }
-
+  learn_from_results(u, outcome);
   schedule_next_query(u);
 }
 
@@ -344,46 +315,18 @@ load::Served Simulation::serve_injected_query(net::NodeId u,
           ? query_gen_.draw(st.profile, load_lane())
           : static_cast<workload::SongId>(item % catalog_.num_songs());
 
-  core::SearchParams params;
-  params.max_hops = config_.max_hops;
-  params.forward_when_hit = false;
-  params.timeout_s = config_.query_timeout_s;
-
-  const std::uint32_t span = obs_search_begin(u, params.max_hops, song);
-  const auto outcome = run_search(u, song, params);
-  finish_search(span, u, params, outcome);
-
   // Injected traffic is real traffic to the network (ledger, checker,
   // flight recorder) but is reported through LoadStats, not the
-  // closed-loop RunResult series.
-  count(net::MessageType::kQuery, outcome.query_messages);
-  count(net::MessageType::kQueryReply, outcome.reply_messages);
+  // closed-loop RunResult series.  Its results feed Algo 5's statistics
+  // exactly like the user's own: the saturation experiments compare
+  // reconfiguration's effect under overload, so the control loop must see
+  // the load.
+  const auto outcome = search_network(u, song);
   if (outcome.satisfied()) {
     served.hit = true;
     served.latency_s = outcome.first_result_delay_s();
   }
-
-  if (config_.dynamic) {
-    // Injected results feed Algo 5's statistics exactly like the user's
-    // own: the saturation experiments compare reconfiguration's effect
-    // under overload, so the control loop must see the load.
-    const auto total = static_cast<std::uint32_t>(outcome.hits.size());
-    for (const auto& hit : outcome.hits) {
-      core::ResultInfo info;
-      info.responder = hit.node;
-      info.bandwidth_kbps = config_.benefit_bandwidth_weights[static_cast<int>(
-          delay_.node_class(hit.node))];
-      info.latency_s = hit.reply_at_s;
-      info.total_results = total;
-      st.stats.add(hit.node,
-                   benefit_of(info) * adversary_benefit_weight(hit.node));
-    }
-    if (config_.reconfig_threshold > 0 &&
-        ++hot_[u].reconfig_count >= config_.reconfig_threshold) {
-      reconfigure(u);
-      hot_[u].reconfig_count = 0;
-    }
-  }
+  learn_from_results(u, outcome);
   return served;
 }
 
@@ -399,9 +342,15 @@ double Simulation::ranked_score(net::NodeId n,
   return (static_cast<double>(bits >> 11) + 1.0) * 0x1.0p-53;
 }
 
-void Simulation::finish_search(std::uint32_t span, net::NodeId u,
-                               const core::SearchParams& params,
-                               const core::SearchOutcome& outcome) {
+core::SearchOutcome Simulation::search_network(net::NodeId u,
+                                               workload::SongId song) {
+  core::SearchParams params;
+  params.max_hops = config_.max_hops;
+  params.forward_when_hit = false;  // §4.1: repliers do not propagate
+  params.timeout_s = config_.query_timeout_s;
+
+  const std::uint32_t span = obs_search_begin(u, params.max_hops, song);
+  auto outcome = run_search(u, song, params);
   if (span != 0) {
     // First hit = minimum reply arrival (first_result_delay_s's metric);
     // its hop is the span's first-hit depth.
@@ -414,6 +363,32 @@ void Simulation::finish_search(std::uint32_t span, net::NodeId u,
         sim::query_spec_for(config_.search_strategy, params, config_.top_k,
                             config_.sim_threshold),
         outcome);
+  count(net::MessageType::kQuery, outcome.query_messages);
+  count(net::MessageType::kQueryReply, outcome.reply_messages);
+  return outcome;
+}
+
+void Simulation::learn_from_results(net::NodeId u,
+                                    const core::SearchOutcome& outcome) {
+  if (!config_.dynamic) return;
+  // Combined search & exploration (§4.1): every result feeds statistics.
+  UserCold& st = cold_[u];
+  const auto total = static_cast<std::uint32_t>(outcome.hits.size());
+  for (const auto& hit : outcome.hits) {
+    core::ResultInfo info;
+    info.responder = hit.node;
+    info.bandwidth_kbps = config_.benefit_bandwidth_weights[static_cast<int>(
+        delay_.node_class(hit.node))];
+    info.latency_s = hit.reply_at_s;
+    info.total_results = total;
+    st.stats.add(hit.node,
+                 benefit_of(info) * adversary_benefit_weight(hit.node));
+  }
+  if (config_.reconfig_threshold > 0 &&
+      ++hot_[u].reconfig_count >= config_.reconfig_threshold) {
+    reconfigure(u);
+    hot_[u].reconfig_count = 0;
+  }
 }
 
 core::SearchOutcome Simulation::run_search(net::NodeId u,
@@ -491,24 +466,18 @@ bool Simulation::adversary_churn_kick(des::Rng& lane, double offline_mean_s,
 
 bool Simulation::invite(net::NodeId u, net::NodeId v) {
   UserHot& target = hot_[v];
-  if (fault_layer_active()) {
-    count(net::MessageType::kInvitation);
-    const auto ti = transmit(net::MessageType::kInvitation, u, v, -1);
-    if (ti.duplicate) count(net::MessageType::kInvitation);
-    // A lost invitation (or a crashed target) elicits no reply at all.
-    if (!ti.deliver) return false;
-    count(net::MessageType::kInvitationReply);
-    const auto tr = transmit(net::MessageType::kInvitationReply, v, u, -1);
-    if (tr.duplicate) count(net::MessageType::kInvitationReply);
-    if (!target.online) return false;
-    // A lost reply means u never learns of the acceptance: the exchange
-    // fails (retry/timeout recovery is ROADMAP work, not modeled here).
-    if (!tr.deliver) return false;
-  } else {
-    count(net::MessageType::kInvitation);
-    count(net::MessageType::kInvitationReply);
-    if (!target.online) return false;
-  }
+  count(net::MessageType::kInvitation);
+  const auto ti = transmit(net::MessageType::kInvitation, u, v, -1);
+  if (ti.duplicate) count(net::MessageType::kInvitation);
+  // A lost invitation (or a crashed target) elicits no reply at all.
+  if (!ti.deliver) return false;
+  count(net::MessageType::kInvitationReply);
+  const auto tr = transmit(net::MessageType::kInvitationReply, v, u, -1);
+  if (tr.duplicate) count(net::MessageType::kInvitationReply);
+  if (!target.online) return false;
+  // A lost reply means u never learns of the acceptance: the exchange
+  // fails (retry/timeout recovery is ROADMAP work, not modeled here).
+  if (!tr.deliver) return false;
 
   core::InvitationDecision decision;
   if (config_.invitation_policy == core::InvitationPolicy::kSummaryGated) {
@@ -599,18 +568,14 @@ void Simulation::evaluate_trial(net::NodeId inviter, net::NodeId invitee) {
 
 void Simulation::evict(net::NodeId evictor, net::NodeId evictee) {
   count(net::MessageType::kEviction);
-  bool evictee_reacts = true;
-  if (fault_layer_active()) {
-    const auto t = transmit(net::MessageType::kEviction, evictor, evictee, -1);
-    if (t.duplicate) count(net::MessageType::kEviction);
-    // The evictor severs the link either way (the symmetric table is the
-    // ground truth), but a lost eviction — or a crashed evictee — means
-    // the other side never runs its Process Eviction reaction.
-    evictee_reacts = t.deliver;
-  }
+  const auto t = transmit(net::MessageType::kEviction, evictor, evictee, -1);
+  if (t.duplicate) count(net::MessageType::kEviction);
   overlay_.unlink(evictor, evictee);
   ++result_.evictions;
-  if (!evictee_reacts) return;
+  // The evictor severs the link either way (the symmetric table is the
+  // ground truth), but a lost eviction — or a crashed evictee — means the
+  // other side never runs its Process Eviction reaction.
+  if (!t.deliver) return;
   // Process Eviction (§4.1): the evicted node resets the evictor's
   // statistics so it does not try to reconnect in the near future; it
   // restores basic connectivity up to the configured floor and leaves the

@@ -226,11 +226,14 @@ class Simulation : public sim::OverlayEngine {
   /// holds the song; holders get a deterministic score in (0, 1] keyed on
   /// (seed, peer, song) — the relevance spread the ranked scheme orders.
   double ranked_score(net::NodeId n, workload::SongId song) const noexcept;
-  /// Records one finished search: trace span end, query/reply accounting,
-  /// and per-search scheme certification when a checker is attached.
-  void finish_search(std::uint32_t span, net::NodeId u,
-                     const core::SearchParams& params,
-                     const core::SearchOutcome& outcome);
+  /// Runs one of u's queries for `song` through the network: the trace
+  /// span, run_search, per-search scheme certification when a checker is
+  /// attached, and query/reply accounting.  Shared by closed-loop and
+  /// injected queries.
+  core::SearchOutcome search_network(net::NodeId u, workload::SongId song);
+  /// Dynamic mode only: feeds every result into u's statistics and runs
+  /// reconfigure() every reconfig_threshold searches (Algo 5).
+  void learn_from_results(net::NodeId u, const core::SearchOutcome& outcome);
   void schedule_next_query(net::NodeId u);
   void reconfigure(net::NodeId u);
   /// Sends an invitation u → v; returns true if v accepted and the link is

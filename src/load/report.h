@@ -1,9 +1,10 @@
 #pragma once
 
-// Shared serialization of one open-loop run's LoadStats: the same field
-// set backs the `load` object in dsf_sim's JSON output, every point of
-// `bench_sweep load`'s dsf-load-sweep-v1 document, and the byte-identity
-// determinism test (two same-seed runs must serialize identically).
+// Serialization of one open-loop run's LoadStats: the field set backs
+// every point of `bench_sweep load`'s dsf-load-sweep-v1 document and the
+// byte-identity determinism test (two same-seed runs must serialize
+// identically).  dsf_sim's `load` object is not this: LoadContext::json
+// in tools/dsf_sim.cpp builds a smaller field set of its own.
 
 #include "load/open_loop.h"
 #include "metrics/json_emitter.h"

@@ -66,8 +66,8 @@ double OlapSim::serve_chunks(net::NodeId p, ChunkId base, bool record,
                              bool* peer_served) {
   Peer& peer = peers_[p];
   core::VisitStamp& stamps = visit_stamps();
-  // Inactive fault layer => default verdicts, zero draws: one transmit
-  // binding serves both regimes byte-identically.
+  // The engine decides once per call whether fates need resolving; when
+  // not, the binding returns default verdicts with zero draws.
   const auto tx = search_transmit();
   if (peer_served) *peer_served = false;
   const bool report = record;

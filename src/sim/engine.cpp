@@ -238,8 +238,11 @@ void OverlayEngine::obs_record(obs::RecordKind kind, net::NodeId from,
 std::uint32_t OverlayEngine::obs_search_begin(net::NodeId initiator,
                                               int max_ttl,
                                               std::uint64_t item) {
-  if (!obs_) return 0;
+  // Spans are numbered whether or not anyone records them, so the counter
+  // (which a checkpoint carries) is the same with and without a sink, and
+  // a traced resume numbers its spans as the straight traced run does.
   const std::uint32_t span = ++next_span_;
+  if (!obs_) return 0;
   current_span_ = span;
   obs::Record r;
   r.time_s = now_s();
@@ -293,6 +296,7 @@ void OverlayEngine::emit_heartbeat() {
 core::TransmitResult OverlayEngine::transmit(net::MessageType type,
                                              net::NodeId from, net::NodeId to,
                                              int ttl) {
+  if (!resolves_fates()) return {};
   FaultDecision d;
   if (!fault_plan_.empty()) d = fault_plan_.decide(type, now_s(), fault_lane());
   core::TransmitResult res;
@@ -471,10 +475,6 @@ void OverlayEngine::write_engine_core(snap::Writer::Out& out) {
     out.u64(ledger_.stats().total(static_cast<net::MessageType>(t)));
   for (int t = 0; t < net::kNumMessageTypes; ++t)
     out.u64(ledger_.bytes(static_cast<net::MessageType>(t)));
-  for (int t = 0; t < net::kNumMessageTypes; ++t)
-    out.u64(ledger_.delivered(static_cast<net::MessageType>(t)));
-  for (int t = 0; t < net::kNumMessageTypes; ++t)
-    out.u64(ledger_.dropped(static_cast<net::MessageType>(t)));
   out.u32(next_span_);
   // Period per registered periodic: the resumed run re-registers the
   // bodies and replay validates its table against this one.
@@ -507,12 +507,8 @@ void OverlayEngine::read_engine_core(snap::Reader::In& in) {
   for (int t = 0; t < net::kNumMessageTypes; ++t)
     stats.count(static_cast<net::MessageType>(t), in.u64());
   std::array<std::uint64_t, net::kNumMessageTypes> bytes{};
-  std::array<std::uint64_t, net::kNumMessageTypes> delivered{};
-  std::array<std::uint64_t, net::kNumMessageTypes> dropped{};
   for (std::uint64_t& v : bytes) v = in.u64();
-  for (std::uint64_t& v : delivered) v = in.u64();
-  for (std::uint64_t& v : dropped) v = in.u64();
-  ledger_.restore(stats, bytes, delivered, dropped);
+  ledger_.restore(stats, bytes);
   next_span_ = in.u32();
   restored_periods_.clear();
   const std::uint64_t num_periodics = in.u64();

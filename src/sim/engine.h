@@ -112,10 +112,13 @@ class MessageLedger {
         n * (bytes_each ? bytes_each : default_message_bytes(t));
   }
 
-  /// Fate accounting, filled in by the fault layer: of the counted sends,
-  /// how many copies reached their receiver and how many were lost (to a
-  /// fault rule or a dead peer).  Both stay zero on the fault-free paths,
-  /// which never resolve per-copy fates.
+  /// Fate accounting, filled in by transmit(): of the counted sends, how
+  /// many copies reached their receiver and how many were lost (to a
+  /// fault rule or a dead peer).  Both stay zero while no fate is
+  /// resolved, and an attached checker or sink resolves them on a
+  /// fault-free run, so they are per-process observations: a checkpoint
+  /// does not carry them, and a resumed run counts from its resume point,
+  /// exactly like the invariant checker it is reconciled against.
   void count_delivered(net::MessageType t, std::uint64_t n = 1) noexcept {
     delivered_[static_cast<int>(t)] += n;
   }
@@ -152,16 +155,15 @@ class MessageLedger {
     return sum;
   }
 
-  /// Checkpoint restore: replaces every counter with the saved totals.
+  /// Checkpoint restore: replaces the send counters with the saved
+  /// totals and restarts the fate counters from zero.
   void restore(
       const net::MessageStats& stats,
-      const std::array<std::uint64_t, net::kNumMessageTypes>& bytes,
-      const std::array<std::uint64_t, net::kNumMessageTypes>& delivered,
-      const std::array<std::uint64_t, net::kNumMessageTypes>& dropped) noexcept {
+      const std::array<std::uint64_t, net::kNumMessageTypes>& bytes) noexcept {
     stats_ = stats;
     bytes_ = bytes;
-    delivered_ = delivered;
-    dropped_ = dropped;
+    delivered_ = {};
+    dropped_ = {};
   }
 
  private:
@@ -235,22 +237,13 @@ class OverlayEngine {
   /// --- fault injection (all off by default: zero draws, zero events) ----
   /// Installs the fault schedule consulted by every transmission.  An
   /// empty plan leaves the run byte-identical to a baseline run.
-  void set_fault_plan(FaultPlan plan) {
-    fault_plan_ = std::move(plan);
-    refresh_fault_active();
-  }
+  void set_fault_plan(FaultPlan plan) { fault_plan_ = std::move(plan); }
   /// Installs the crash process.  A disabled model schedules no events.
-  void set_crash_model(const CrashModel& model) {
-    crash_model_ = model;
-    refresh_fault_active();
-  }
-  /// Attaches a continuous invariant checker fed from the trace points.
-  /// Routes transmissions through the (draw-free when the plan is empty)
-  /// traced paths; pass nullptr to detach.
-  void attach_checker(InvariantChecker* checker) {
-    checker_ = checker;
-    refresh_fault_active();
-  }
+  void set_crash_model(const CrashModel& model) { crash_model_ = model; }
+  /// Attaches a continuous invariant checker fed from the trace points
+  /// (pass nullptr to detach).  Resolving fates for it is draw-free when
+  /// the plan is empty, so a checked run replays the unchecked one.
+  void attach_checker(InvariantChecker* checker) { checker_ = checker; }
 
   const FaultPlan& fault_plan() const noexcept { return fault_plan_; }
   const CrashModel& crash_model() const noexcept { return crash_model_; }
@@ -262,14 +255,13 @@ class OverlayEngine {
 
   /// --- flight recorder (off by default: null pointer, zero records) -----
   /// Attaches a flight-recorder sink.  Like attaching a checker, this
-  /// routes transmissions through the traced paths — draw-free when the
+  /// makes every copy's fate resolved and recorded — draw-free when the
   /// fault plan is empty, so a traced run replays the baseline trajectory
   /// byte-identically.  Passing nullptr, or a sink whose enabled() is
   /// false (obs::NullSink), detaches: the hot path sees one predicted
   /// branch and zero virtual calls.
   void set_trace_sink(obs::TraceSink* sink) {
     obs_ = (sink != nullptr && sink->enabled()) ? sink : nullptr;
-    refresh_fault_active();
   }
   obs::TraceSink* trace_sink() const noexcept { return obs_; }
 
@@ -499,11 +491,6 @@ class OverlayEngine {
   }
 
   /// --- fault layer ------------------------------------------------------
-  /// True when any fault machinery is engaged (non-empty plan, enabled
-  /// crash model, or attached checker).  The ported hot paths branch on
-  /// this once per search so baseline runs never pay for the layer.
-  bool fault_layer_active() const noexcept { return fault_active_; }
-
   /// Resets the invariant checker's TTL context for one search (or one
   /// iterative-deepening cycle) with hop budget `max_ttl`.
   void begin_faulty_search(int max_ttl);
@@ -512,18 +499,22 @@ class OverlayEngine {
   /// searches and control exchanges eagerly, so this is the engine's only
   /// transmit path: it consults the plan, drops copies addressed to dead
   /// peers, updates the ledger's fate counters and emits trace records.
-  /// Does NOT count the send itself — callers count() the send (and the
-  /// second copy when the verdict says `duplicate`).
+  /// When no fate can differ from the default and nobody observes it
+  /// (see resolves_fates) it returns the default verdict and touches
+  /// nothing, so scenarios call it unconditionally.  Does NOT count the
+  /// send itself — callers count() the send (and the second copy when the
+  /// verdict says `duplicate`).
   core::TransmitResult transmit(net::MessageType type, net::NodeId from,
                                 net::NodeId to, int ttl);
 
-  /// TransmitFn adapter binding the engine's fault layer to the
-  /// transmit-aware core searches (core::flood_search and friends).  When
-  /// `active` is false it is byte-identical to core::ReliableTransmit
-  /// (default verdict, zero draws, no checker TTL context); when true every
-  /// copy's fate goes through transmit() and each search resets the
-  /// checker's TTL context.  Call sites bind search_transmit() once instead
-  /// of forking whole dispatch expressions on fault_layer_active().
+  /// TransmitFn adapter binding transmit() to the transmit-aware core
+  /// searches (core::flood_search and friends).  search_transmit() takes
+  /// the resolves_fates() decision once per search: when it is false the
+  /// adapter is byte-identical to core::ReliableTransmit (default verdict,
+  /// zero draws, no checker TTL context) and the flood loop keeps its fast
+  /// path; when true every copy's fate goes through transmit() and each
+  /// search resets the checker's TTL context.  No crash or attachment can
+  /// happen inside one synchronous search, so the binding cannot go stale.
   struct MaybeFaultyTransmit {
     OverlayEngine* engine;
     bool active;
@@ -537,7 +528,7 @@ class OverlayEngine {
     }
   };
   MaybeFaultyTransmit search_transmit() noexcept {
-    return MaybeFaultyTransmit{this, fault_layer_active()};
+    return MaybeFaultyTransmit{this, resolves_fates()};
   }
 
   /// --- search spans (flight recorder) ----------------------------------
@@ -761,13 +752,16 @@ class OverlayEngine {
   void run_to(double end_s);
   void emit_heartbeat();
 
-  /// The traced paths serve three consumers: the fault plan, the
-  /// invariant checker and the flight recorder.  All three ride the same
-  /// branch because an empty-plan traced run is draw-free and therefore
-  /// byte-identical to the fast path.
-  void refresh_fault_active() noexcept {
-    fault_active_ = !fault_plan_.empty() || crash_model_.enabled() ||
-                    checker_ != nullptr || obs_ != nullptr;
+  /// Whether a copy's fate must be resolved: a fault rule or a dead peer
+  /// can make it differ from the default verdict (a non-empty plan, an
+  /// enabled crash model, or any peer already crashed — by the crash
+  /// model, the adversary layer's regional outage or crash_node), or a
+  /// checker or sink observes it.  Read from the state on every call, so
+  /// observing a run never decides what a dead peer receives; an observed
+  /// empty-plan run is draw-free and replays the unobserved one.
+  bool resolves_fates() const noexcept {
+    return !fault_plan_.empty() || crash_model_.enabled() ||
+           checker_ != nullptr || obs_ != nullptr || crash_count_ > 0;
   }
   void schedule_crash_process();
   void schedule_next_crash(double at_s);
@@ -832,7 +826,6 @@ class OverlayEngine {
   des::Rng fault_rng_;
   std::vector<char> dead_;
   std::uint64_t crash_count_ = 0;
-  bool fault_active_ = false;
 
   /// Open-loop load state.  The lane is derived (never split) from the
   /// scenario seed; with the layer off nothing here schedules events or

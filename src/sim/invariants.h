@@ -198,9 +198,9 @@ class InvariantChecker {
   /// no scores and no pruning (nothing prunes a flood); ranked outcomes
   /// must respect the k bound with scores positive and sorted
   /// best-first; similarity outcomes must clear the threshold on every
-  /// hit.  Scenarios call this per search when a checker is attached —
-  /// it is cheap (one pass over the hit list) but per-query, so the
-  /// engine gates it behind fault_layer_active().
+  /// hit.  Scenarios call this per search only when a checker is
+  /// attached (OverlayEngine::checker() is non-null) — it is cheap (one
+  /// pass over the hit list) but per-query.
   void check_search_outcome(const core::QuerySpec& spec,
                             const core::SearchOutcome& out) {
     switch (spec.query_class) {

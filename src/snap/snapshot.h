@@ -40,7 +40,10 @@ class SnapshotError : public std::runtime_error {
 
 /// "DSFSNAP\0" little-endian.
 inline constexpr std::uint64_t kMagic = 0x0050414E53465344ULL;
-inline constexpr std::uint32_t kVersion = 2;
+/// Version 3: the engine core carries no ledger fate counters, and its
+/// span counter counts every search, traced or not, so a checkpoint's
+/// bytes do not depend on observation flags.
+inline constexpr std::uint32_t kVersion = 3;
 
 enum class SectionId : std::uint32_t {
   kIdentity = 1,    ///< scenario name, population, seed

@@ -78,8 +78,8 @@ PageId WebCacheSim::draw_page(net::NodeId p, des::Rng& r) {
 double WebCacheSim::serve_page(net::NodeId p, PageId page, bool record,
                                bool* hit) {
   Proxy& proxy = proxies_[p];
-  // Inactive fault layer => default verdicts, zero draws: one transmit
-  // binding serves both regimes byte-identically.
+  // The engine decides once per call whether fates need resolving; when
+  // not, the binding returns default verdicts with zero draws.
   const auto tx = search_transmit();
   if (proxy.cache.touch(page)) {
     if (record) {

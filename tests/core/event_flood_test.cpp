@@ -60,7 +60,8 @@ class EventFloodEquivalence : public ::testing::Test {
       return static_cast<bool>(holder_[x]);
     };
     const auto eager =
-        flood_search(from, params, neighbors, has, delay, stamps_a, scratch);
+        flood_search(from, params, neighbors, has, delay,
+                     ReliableTransmit{}, stamps_a, scratch);
 
     VisitStamp stamps_b(adj_.size());
     des::Simulator sim;

@@ -55,7 +55,7 @@ class FloodProperty
         [&delay_rng](net::NodeId, net::NodeId) {
           return 0.01 + 0.1 * delay_rng.uniform();
         },
-        stamps, scratch);
+        ReliableTransmit{}, stamps, scratch);
   }
 
   static constexpr std::size_t kNodes = 200;
@@ -130,9 +130,11 @@ TEST_P(FloodProperty, WiderHopLimitNeverReachesFewer) {
     const auto never_hold = [](net::NodeId) { return false; };
     const auto unit = [](net::NodeId, net::NodeId) { return 1.0; };
     const auto a =
-        flood_search(from, narrow, neighbors, never_hold, unit, stamps, scratch);
+        flood_search(from, narrow, neighbors, never_hold, unit,
+                     ReliableTransmit{}, stamps, scratch);
     const auto b =
-        flood_search(from, wide, neighbors, never_hold, unit, stamps, scratch);
+        flood_search(from, wide, neighbors, never_hold, unit,
+                     ReliableTransmit{}, stamps, scratch);
     EXPECT_LE(a.nodes_reached, b.nodes_reached);
     EXPECT_LE(a.query_messages, b.query_messages);
   }

@@ -29,7 +29,7 @@ class FloodFixture {
         },
         [this](net::NodeId n) { return holders_.count(n) != 0; },
         [](net::NodeId, net::NodeId) { return 1.0; },  // unit delays
-        stamps_, scratch_);
+        ReliableTransmit{}, stamps_, scratch_);
   }
 
  private:

@@ -44,7 +44,8 @@ class RankedFixture {
           return adj_[n];
         },
         [this](net::NodeId n) { return scores_.count(n) != 0; },
-        [](net::NodeId, net::NodeId) { return 1.0; }, stamps_, scratch_);
+        [](net::NodeId, net::NodeId) { return 1.0; },
+        ReliableTransmit{}, stamps_, scratch_);
   }
 
  private:

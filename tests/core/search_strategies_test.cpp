@@ -57,7 +57,7 @@ TEST(IterativeDeepening, StopsAtFirstSatisfiedCycle) {
   SearchParams p;
   const auto out = iterative_deepening_search(
       0, p, {2, 4}, f.neighbors(), f.has_content(),
-      StrategyFixture::unit_delay, f.stamps_, f.scratch_);
+      StrategyFixture::unit_delay, ReliableTransmit{}, f.stamps_, f.scratch_);
   EXPECT_TRUE(out.satisfied());
   EXPECT_EQ(out.cycles, 1);
   EXPECT_EQ(out.final_depth, 2);
@@ -73,7 +73,7 @@ TEST(IterativeDeepening, EscalatesWhenNearbyMisses) {
   SearchParams p;
   const auto out = iterative_deepening_search(
       0, p, {2, 4}, f.neighbors(), f.has_content(),
-      StrategyFixture::unit_delay, f.stamps_, f.scratch_);
+      StrategyFixture::unit_delay, ReliableTransmit{}, f.stamps_, f.scratch_);
   EXPECT_TRUE(out.satisfied());
   EXPECT_EQ(out.cycles, 2);
   EXPECT_EQ(out.final_depth, 4);
@@ -87,7 +87,7 @@ TEST(IterativeDeepening, AccumulatesMessagesAcrossCycles) {
   SearchParams p;
   const auto out = iterative_deepening_search(
       0, p, {1, 3}, f.neighbors(), f.has_content(),
-      StrategyFixture::unit_delay, f.stamps_, f.scratch_);
+      StrategyFixture::unit_delay, ReliableTransmit{}, f.stamps_, f.scratch_);
   EXPECT_FALSE(out.satisfied());
   // Cycle 1 (depth 1): 0→1 = 1 message.  Cycle 2 (depth 3): 0→1, 1→2,
   // 2→3 = 3 messages.  Total 4.
@@ -103,11 +103,12 @@ TEST(IterativeDeepening, CheaperThanFullFloodWhenResultsNearby) {
   SearchParams p;
   const auto iterative = iterative_deepening_search(
       0, p, {1, 4}, f.neighbors(), f.has_content(),
-      StrategyFixture::unit_delay, f.stamps_, f.scratch_);
+      StrategyFixture::unit_delay, ReliableTransmit{}, f.stamps_, f.scratch_);
   p.max_hops = 4;
   const auto flood =
       flood_search(0, p, f.neighbors(), f.has_content(),
-                   StrategyFixture::unit_delay, f.stamps_, f.scratch_);
+                   StrategyFixture::unit_delay,
+                   ReliableTransmit{}, f.stamps_, f.scratch_);
   EXPECT_TRUE(iterative.satisfied());
   EXPECT_LE(iterative.total_messages, flood.query_messages);
 }
@@ -148,7 +149,7 @@ TEST(DirectedBft, OnlySubsetReceivesFromInitiator) {
   const auto subset = select_directed_subset(stats, f.adj_[0], 2);
   const auto out = directed_flood_search(
       0, p, subset, f.neighbors(), f.has_content(),
-      StrategyFixture::unit_delay, f.stamps_, f.scratch_);
+      StrategyFixture::unit_delay, ReliableTransmit{}, f.stamps_, f.scratch_);
   EXPECT_FALSE(out.satisfied());
   EXPECT_EQ(out.query_messages, 2u);
 }
@@ -166,7 +167,7 @@ TEST(DirectedBft, IntermediateNodesFloodNormally) {
   p.max_hops = 2;
   const auto out = directed_flood_search(
       0, p, {1}, f.neighbors(), f.has_content(),
-      StrategyFixture::unit_delay, f.stamps_, f.scratch_);
+      StrategyFixture::unit_delay, ReliableTransmit{}, f.stamps_, f.scratch_);
   EXPECT_TRUE(out.satisfied());
   EXPECT_EQ(out.hits[0].node, 3u);
 }
@@ -180,7 +181,8 @@ TEST(LocalIndices, InitiatorIndexAnswersAtHopZero) {
   p.max_hops = 2;
   const auto out =
       indexed_flood_search(0, p, f.neighbors(), f.has_content(),
-                           StrategyFixture::unit_delay, f.stamps_,
+                           StrategyFixture::unit_delay,
+                           ReliableTransmit{}, f.stamps_,
                            f.hit_stamps_, f.scratch_);
   ASSERT_TRUE(out.satisfied());
   EXPECT_EQ(out.hits[0].node, 1u);
@@ -201,11 +203,13 @@ TEST(LocalIndices, RadiusExtendsEffectiveDepth) {
   p.max_hops = 2;
   const auto plain =
       flood_search(0, p, f.neighbors(), f.has_content(),
-                   StrategyFixture::unit_delay, f.stamps_, f.scratch_);
+                   StrategyFixture::unit_delay,
+                   ReliableTransmit{}, f.stamps_, f.scratch_);
   EXPECT_FALSE(plain.satisfied());
   const auto indexed =
       indexed_flood_search(0, p, f.neighbors(), f.has_content(),
-                           StrategyFixture::unit_delay, f.stamps_,
+                           StrategyFixture::unit_delay,
+                           ReliableTransmit{}, f.stamps_,
                            f.hit_stamps_, f.scratch_);
   EXPECT_TRUE(indexed.satisfied());
   EXPECT_EQ(indexed.hits[0].node, 3u);
@@ -226,7 +230,8 @@ TEST(LocalIndices, HolderReportedOnceDespiteMultipleIndexers) {
   p.forward_when_hit = true;  // let both branches run
   const auto out =
       indexed_flood_search(0, p, f.neighbors(), f.has_content(),
-                           StrategyFixture::unit_delay, f.stamps_,
+                           StrategyFixture::unit_delay,
+                           ReliableTransmit{}, f.stamps_,
                            f.hit_stamps_, f.scratch_);
   std::size_t count = 0;
   for (const auto& h : out.hits)
@@ -244,12 +249,14 @@ TEST(LocalIndices, FewerMessagesThanPlainFloodSameCoverage) {
   deep.max_hops = 4;
   const auto plain =
       flood_search(0, deep, f.neighbors(), f.has_content(),
-                   StrategyFixture::unit_delay, f.stamps_, f.scratch_);
+                   StrategyFixture::unit_delay,
+                   ReliableTransmit{}, f.stamps_, f.scratch_);
   SearchParams shallow;
   shallow.max_hops = 3;
   const auto indexed =
       indexed_flood_search(0, shallow, f.neighbors(), f.has_content(),
-                           StrategyFixture::unit_delay, f.stamps_,
+                           StrategyFixture::unit_delay,
+                           ReliableTransmit{}, f.stamps_,
                            f.hit_stamps_, f.scratch_);
   EXPECT_LE(indexed.query_messages, plain.query_messages);
 }

@@ -34,6 +34,7 @@
 
 #include "load/open_loop.h"
 #include "load/trace_reader.h"
+#include "obs/ring_sink.h"
 #include "sim/invariants.h"
 #include "sim_fingerprints.h"
 
@@ -93,6 +94,62 @@ TEST(AdversaryGolden, OlapDisabledPlanIsNoop) {
 TEST(AdversaryGolden, WebCacheDisabledPlanIsNoop) {
   expect_noop_adversary_layer<webcache::WebCacheSim>(
       simtest::golden_webcache_config());
+}
+
+/// A regional outage kills peers that no fault plan or crash model knows
+/// about.  Whether a copy sent to one of them is delivered must not hang
+/// on whether the run is observed: the plain run, the run with a checker
+/// attached and the run with a RingSink attached share one fingerprint.
+template <typename Sim, typename Config>
+void expect_outage_unperturbed_by_observation(const Config& config,
+                                              double outage_at_s) {
+  sim::AdversaryPlan plan;
+  plan.outage_class = 1;  // cable
+  plan.outage_at_s = outage_at_s;
+
+  Sim plain(config);
+  plain.set_adversary(plan);
+  const auto baseline = fingerprint(plain.run());
+  EXPECT_GT(plain.adversary_stats().outage_victims, 0u);
+
+  sim::InvariantChecker checker;
+  Sim checked(config);
+  checked.set_adversary(plan);
+  checked.attach_checker(&checker);
+  EXPECT_EQ(baseline.value(), fingerprint(checked.run()).value())
+      << "attaching a checker changed what the dead peers receive";
+  EXPECT_TRUE(checker.ok()) << checker.report();
+
+  obs::RingSink ring;
+  Sim traced(config);
+  traced.set_adversary(plan);
+  traced.set_trace_sink(&ring);
+  EXPECT_EQ(baseline.value(), fingerprint(traced.run()).value())
+      << "attaching a RingSink changed what the dead peers receive";
+}
+
+TEST(AdversaryGolden, GnutellaOutageIsUnperturbedByObservation) {
+  auto config = simtest::golden_gnutella_config();
+  config.sim_hours = 1.0;
+  config.warmup_hours = 0.25;
+  config.dynamic = true;
+  expect_outage_unperturbed_by_observation<gnutella::Simulation>(config,
+                                                                 1800.0);
+}
+
+TEST(AdversaryGolden, DigLibOutageIsUnperturbedByObservation) {
+  expect_outage_unperturbed_by_observation<diglib::DigLibSim>(
+      simtest::golden_diglib_config(), 900.0);
+}
+
+TEST(AdversaryGolden, OlapOutageIsUnperturbedByObservation) {
+  expect_outage_unperturbed_by_observation<olap::OlapSim>(
+      simtest::golden_olap_config(), 1800.0);
+}
+
+TEST(AdversaryGolden, WebCacheOutageIsUnperturbedByObservation) {
+  expect_outage_unperturbed_by_observation<webcache::WebCacheSim>(
+      simtest::golden_webcache_config(), 1800.0);
 }
 
 // --- behavioral pins (armed adversities must bite, and stay clean) -------

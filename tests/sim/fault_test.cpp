@@ -28,7 +28,6 @@ class TestEngine : public OverlayEngine {
 
   using OverlayEngine::begin_faulty_search;
   using OverlayEngine::count;
-  using OverlayEngine::fault_layer_active;
   using OverlayEngine::run_until_horizon;
   using OverlayEngine::transmit;
 
@@ -186,7 +185,6 @@ TEST(FaultLayer, DropsEveryTargetedTypeThroughSend) {
     r.drop_prob = 1.0;
     plan.set_rule(type, r);
     e.set_fault_plan(plan);
-    ASSERT_TRUE(e.fault_layer_active());
 
     const auto res = e.send_one(0, 1, type);
 

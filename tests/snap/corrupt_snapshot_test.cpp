@@ -169,6 +169,15 @@ TEST_F(CorruptSnapshotTest, VersionOneIsRejected) {
   expect_rejected(bytes, "version1");
 }
 
+TEST_F(CorruptSnapshotTest, VersionTwoIsRejected) {
+  // A version-2 engine core carries the ledger's fate counters, which
+  // version 3 dropped, so its fields no longer line up; such a file must
+  // fail closed.
+  auto bytes = *good_bytes_;
+  stamp_version(bytes, 2);
+  expect_rejected(bytes, "version2");
+}
+
 TEST_F(CorruptSnapshotTest, TruncatedHeader) {
   auto bytes = *good_bytes_;
   bytes.resize(7);

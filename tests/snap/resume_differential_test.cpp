@@ -28,6 +28,7 @@
 #include "load/schedule.h"
 #include "obs/ring_sink.h"
 #include "sim/fault.h"
+#include "sim/invariants.h"
 
 namespace dsf {
 namespace {
@@ -282,6 +283,85 @@ TEST(ResumeDifferential, HeartbeatStaysOutOfTheCheckpoint) {
       << "the heartbeat changed the checkpoint's bytes";
   for (const std::string& path : {beat, plain, traced})
     std::remove(path.c_str());
+}
+
+TEST(ResumeDifferential, ObservationLeavesTheCheckpointBytesUnchanged) {
+  // Saved at the same T, a plain run, a traced run, a traced run with a
+  // heartbeat and a checked run write the same file: neither the span
+  // counter nor the ledger's fate counters (which an observer fills in on
+  // a fault-free run) depend on who is watching.
+  const gnutella::Config cfg = small_gnutella();
+  const std::string dir = ::testing::TempDir();
+  const auto save = [&cfg](const std::string& path, obs::RingSink* ring,
+                           double heartbeat_s, sim::InvariantChecker* c) {
+    gnutella::Simulation sim(cfg);
+    sim.request_snapshot_save(path, 3600.0);
+    if (ring != nullptr) sim.set_trace_sink(ring);
+    if (heartbeat_s > 0.0) sim.set_heartbeat_period(heartbeat_s);
+    sim.attach_checker(c);
+    sim.run();
+  };
+  obs::RingSink ring;
+  sim::InvariantChecker checker;
+  const std::string plain = dir + "dsf_observe_plain.snap";
+  const std::string traced = dir + "dsf_observe_traced.snap";
+  const std::string beat = dir + "dsf_observe_heartbeat.snap";
+  const std::string checked = dir + "dsf_observe_checked.snap";
+  save(plain, nullptr, 0.0, nullptr);
+  save(traced, &ring, 0.0, nullptr);
+  save(beat, &ring, 600.0, nullptr);
+  save(checked, nullptr, 0.0, &checker);
+  EXPECT_TRUE(checker.ok()) << checker.report();
+  const std::vector<char> plain_bytes = slurp(plain);
+  EXPECT_EQ(plain_bytes, slurp(traced)) << "the recorder changed the bytes";
+  EXPECT_EQ(plain_bytes, slurp(beat)) << "the heartbeat changed the bytes";
+  EXPECT_EQ(plain_bytes, slurp(checked)) << "the checker changed the bytes";
+  for (const std::string& path : {plain, traced, beat, checked})
+    std::remove(path.c_str());
+}
+
+TEST(ResumeDifferential, TracedResumeFromAPlainCheckpointNumbersSpans) {
+  // A traced resume from a plain checkpoint records what the straight
+  // traced run records after T, span ids included.  Both rings hold the
+  // tail of the same run, so their common suffix must match record for
+  // record.
+  const gnutella::Config cfg = small_gnutella();
+  const std::string path = ::testing::TempDir() + "dsf_spans_plain.snap";
+  {
+    gnutella::Simulation saver(cfg);
+    saver.request_snapshot_save(path, 3600.0);
+    saver.run();
+  }
+  obs::RingSink straight_ring;
+  {
+    gnutella::Simulation straight(cfg);
+    straight.set_trace_sink(&straight_ring);
+    straight.run();
+  }
+  obs::RingSink resumed_ring;
+  {
+    gnutella::Simulation resumer(cfg);
+    resumer.load_snapshot(path);
+    resumer.set_trace_sink(&resumed_ring);
+    resumer.run();
+  }
+  std::remove(path.c_str());
+  const auto straight = straight_ring.snapshot();
+  const auto resumed = resumed_ring.snapshot();
+  const std::size_t n = std::min(straight.size(), resumed.size());
+  std::size_t spans = 0;
+  for (std::size_t i = 1; i <= n; ++i) {
+    const obs::Record& s = straight[straight.size() - i];
+    const obs::Record& r = resumed[resumed.size() - i];
+    ASSERT_EQ(s.kind, r.kind) << "record " << i << " from the end";
+    ASSERT_EQ(s.span, r.span) << "record " << i << " from the end";
+    ASSERT_EQ(s.time_s, r.time_s) << "record " << i << " from the end";
+    ASSERT_EQ(s.from, r.from) << "record " << i << " from the end";
+    ASSERT_EQ(s.to, r.to) << "record " << i << " from the end";
+    ASSERT_EQ(s.a, r.a) << "record " << i << " from the end";
+    if (r.kind == obs::RecordKind::kSearchBegin) ++spans;
+  }
+  EXPECT_GT(spans, 0u) << "the compared tail holds no search span";
 }
 
 TEST(ResumeDifferential, MisuseIsRejected) {

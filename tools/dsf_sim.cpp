@@ -23,7 +23,8 @@
 //                            (chrome://tracing, Perfetto)
 //   --trace-spans            print the per-search span summary table
 //   --heartbeat S            emit a progress heartbeat every S sim-seconds
-//                            (off by default; needs --trace ring)
+//                            (off by default; needs --trace ring, exit 2
+//                            without it)
 //
 // Every scenario also accepts the snapshot group (mutually exclusive with
 // open-loop load, the adversary group and --capture-trace; exit 2):
@@ -68,8 +69,10 @@
 //
 // Command-line errors — unknown options (rejected with a nearest-match
 // suggestion), values that do not parse as, or overflow, the declared
-// type, and flag groups that cannot be combined (snapshots with open-loop
-// load, the adversary layer or --capture-trace) — exit 2.  Corrupt,
+// type, values a flag group or a scenario config rejects (--trace bogus,
+// --users 0), and flag groups that cannot be combined (snapshots with
+// open-loop load, the adversary layer or --capture-trace; a heartbeat or
+// trace export without --trace ring) — exit 2.  Corrupt,
 // truncated or mismatched snapshot files exit 5 without partial state
 // mutation.  Text output is human-readable; --json emits a
 // machine-readable record for scripting sweeps.
@@ -173,7 +176,7 @@ cli::FlagRegistry make_registry() {
       .add_string("trace-out", "", "export the ring as Chrome trace JSON")
       .add_bool("trace-spans", false, "print the per-search span table")
       .add_double("heartbeat", 0.0,
-                  "heartbeat period in sim-seconds (0: off)");
+                  "heartbeat period in sim-seconds (needs --trace ring)");
 
   register_fault_flags(reg);
   register_adversary_flags(reg);
@@ -343,6 +346,9 @@ struct TraceContext {
     if ((spans || !out_path.empty()) && !ring)
       throw std::invalid_argument(
           "--trace-out/--trace-spans need --trace ring");
+    if (heartbeat_s < 0.0) throw cli::FlagError("--heartbeat: must be >= 0");
+    if (reg.was_set("heartbeat") && !ring)
+      throw cli::FlagError("--heartbeat needs --trace ring");
   }
 
   void arm(sim::OverlayEngine& engine) {
@@ -740,13 +746,11 @@ int main(int argc, char** argv) {
     if (scenario == "olap") return run_olap(reg, json);
     if (scenario == "diglib") return run_diglib(reg, json);
     return usage();
-  } catch (const dsf::cli::FlagError& e) {
-    // The typed flag-error family: unknown options, type mismatches, and
-    // values that overflow the declared type all exit with usage status.
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  } catch (const dsf::sim::FlagConflict& e) {
-    // Flag groups the engine cannot combine are usage errors too.
+  } catch (const std::invalid_argument& e) {
+    // Every usage error exits 2: unknown options, type mismatches and
+    // overflowing values (cli::FlagError), flag groups the engine cannot
+    // combine (sim::FlagConflict), and bad values a flag group or a
+    // scenario config rejects.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   } catch (const dsf::snap::SnapshotError& e) {
